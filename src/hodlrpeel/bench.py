@@ -139,23 +139,9 @@ def _run_cell(op, A, opt, config, experiment, preset_name, trials, root_seed, ce
     return rows
 
 
-_OPT_CACHE_LIMIT = 16
-
-
-class _OptCache:
-    """best_hodlr is the expensive oracle; compute it once per (matrix, k)."""
-
-    def __init__(self):
-        self._store = {}
-
-    def opt(self, tag, A, k) -> float:
-        key = (tag, k)
-        if key not in self._store:
-            if len(self._store) >= _OPT_CACHE_LIMIT:
-                self._store.clear()
-            best = hodlr.best_hodlr(A, k)
-            self._store[key] = float(np.linalg.norm(A - best.to_dense()))
-        return self._store[key]
+def _opt_error(A, k) -> float:
+    """Frobenius error of the best HODLR(k) approximation of A (the oracle)."""
+    return float(np.linalg.norm(A - hodlr.best_hodlr(A, k).to_dense()))
 
 
 def run_experiment(name, grid=None, trials=None, seed=0) -> ExperimentResult:
@@ -189,13 +175,12 @@ def _poisson_rows(grid, trials, seed):
     ks = grid.get("k", [8])
     betas = grid.get("beta", [1.0, 0.5, 0.25, 0.125])
     presets = grid.get("preset", ["GN1", "RSVD1"])
-    cache = _OptCache()
     rows, cell = [], 0
     for t in ts:
         op = linops.make_poisson_operator(t)
         A = op.materialize()
         for k in ks:
-            opt = cache.opt(("poisson", t), A, k)
+            opt = _opt_error(A, k)
             for beta in betas:
                 for pname in presets:
                     cfg = preset_config(pname, k, beta)
@@ -210,14 +195,13 @@ def _kernel_rows(grid, trials, seed):
     ks = grid.get("k", [2, 4, 6, 8])
     betas = grid.get("beta", [0.25])
     presets = grid.get("preset", ["GN1"])
-    cache = _OptCache()
     rows, cell = [], 0
     for n in ns:
         pts = linops.helix_points(n, stream(seed, 10_000 + n))
         op = linops.make_kernel_operator(pts)
         A = op.materialize()
         for k in ks:
-            opt = cache.opt(("kernel", n), A, k)
+            opt = _opt_error(A, k)
             for beta in betas:
                 for pname in presets:
                     cfg = preset_config(pname, k, beta)
@@ -232,12 +216,11 @@ def _hard_block_rows(grid, trials, seed):
     eta = grid.get("eta", 1e8)
     betas = grid.get("beta", [0.25])
     presets = grid.get("preset", ["RSVD1", "GN1"])
-    cache = _OptCache()
     rows, cell = [], 0
     for k in ks:
         op = linops.make_hard_block_instance(k, eta)
         A = op.materialize()
-        opt = cache.opt(("hard_block", k, eta), A, k)
+        opt = _opt_error(A, k)
         for beta in betas:
             for pname in presets:
                 cfg = preset_config(pname, k, beta)
@@ -252,13 +235,12 @@ def _exp_hard_rows(grid, trials, seed):
     eta = grid.get("eta", 1e8)
     betas = grid.get("beta", [0.5])
     presets = grid.get("preset", ["RSVD1", "GN2", "RSVD2"])
-    cache = _OptCache()
     rows, cell = [], 0
     for n in ns:
         L = int(math.log2(n))
         op = linops.make_exp_hard_instance(L, eta)
         A = op.materialize()
-        opt = cache.opt(("exp_hard", n, eta), A, 1)
+        opt = _opt_error(A, 1)
         for beta in betas:
             for pname in presets:
                 cfg = preset_config(pname, 1, beta)

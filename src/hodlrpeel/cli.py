@@ -29,18 +29,24 @@ def _add_operator_args(p):
     p.add_argument("--eta", type=float, default=1e8, help="hard-instance scale")
 
 
+def _usage_error(message):
+    """Reject invalid arguments the way argparse does: one line, exit code 2."""
+    print(f"hodlrpeel: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _build_operator(args, k, seed):
     name = args.operator
     if name == "dense":
         if not args.infile:
-            raise SystemExit("--operator dense needs --in FILE")
+            _usage_error("--operator dense needs --in FILE")
         return linops.make_dense_operator(linops.load_dense_csv(args.infile))
     if name == "poisson":
         if not args.n:
-            raise SystemExit("--operator poisson needs --n (a perfect square)")
+            _usage_error("--operator poisson needs --n (a perfect square)")
         t = int(round(args.n**0.5))
         if t * t != args.n:
-            raise SystemExit(f"poisson dimension must be a square, got {args.n}")
+            _usage_error(f"poisson dimension must be a square, got {args.n}")
         return linops.make_poisson_operator(t)
     if name == "kernel":
         if args.points:
@@ -48,17 +54,19 @@ def _build_operator(args, k, seed):
         elif args.n:
             pts = linops.helix_points(args.n, stream(seed, 1))
         else:
-            raise SystemExit("--operator kernel needs --points or --n")
+            _usage_error("--operator kernel needs --points or --n")
         return linops.make_kernel_operator(pts)
     if name == "hard-block":
         return linops.make_hard_block_instance(k, args.eta)
     if name == "exp-hard":
         if not args.n:
-            raise SystemExit("--operator exp-hard needs --n (a power of two)")
+            _usage_error("--operator exp-hard needs --n (a power of two)")
         L = int(args.n).bit_length() - 1
         if 1 << L != args.n:
-            raise SystemExit(f"exp-hard dimension must be a power of two, got {args.n}")
+            _usage_error(f"exp-hard dimension must be a power of two, got {args.n}")
         return linops.make_exp_hard_instance(L, args.eta)
+    if not args.n:
+        _usage_error("--operator random-hodlr needs --n")
     H = hodlr.random_hodlr(args.n, k, stream(seed, 2))
     return linops.make_dense_operator(H.to_dense())
 
@@ -84,7 +92,7 @@ def _print_report(report, n):
 def _cmd_approx(args):
     config = bench.preset_config(args.preset, args.k, args.beta, seed=args.seed)
     if args.variant and args.variant != config.variant:
-        raise SystemExit(f"preset {args.preset} conflicts with --variant {args.variant}")
+        _usage_error(f"preset {args.preset} conflicts with --variant {args.variant}")
     op = _build_operator(args, args.k, args.seed)
     H, report = peel.run_peel(
         op,

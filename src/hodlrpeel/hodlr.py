@@ -11,6 +11,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,9 +66,18 @@ class LevelContribution:
     level: int
     factors: list
 
+    @cached_property
+    def stacked(self):
+        """Padded level tensors for ``apply_contributions``, built on first
+        use; the factors must not change after that."""
+        return _stack_level(self.factors)
+
 
 @dataclass
 class HodlrMatrix:
+    """A HODLR(k) matrix.  Treated as immutable once built by ``assemble`` or
+    ``from_bytes``, because ``hodlr_apply`` caches its stacked tensors."""
+
     n: int
     k: int
     levels: list = field(default_factory=list)   # levels[l-1] = list of LowRankFactors
@@ -76,6 +86,13 @@ class HodlrMatrix:
     @property
     def L(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def stacked(self):
+        """(per-level ``_stack_level`` tensors, leaves stacked (2^L, m, m)),
+        built on the first ``hodlr_apply``.  Not a dataclass field, so
+        ``==``, ``repr`` and ``to_bytes`` ignore it."""
+        return [_stack_level(f) for f in self.levels], np.stack(self.leaves)
 
     def block_size(self, level: int) -> int:
         return self.n >> level
@@ -156,78 +173,75 @@ class FlopCounter:
         self.flops += 2 * a * b * c
 
 
-def _level_tensors(factors, m):
-    """Zero-padded stacked (Q, X) tensors for batched level application."""
+def _stack_level(factors):
+    """Zero-padded stacked factors of one level: Q tensors (d, m, r) and X
+    tensors (d, r, m), r the largest rank; None when every rank is zero."""
     d = len(factors)
-    rmax = max((f.rank for f in factors), default=0)
-    if rmax == 0:
-        return None, None
-    Qs = np.zeros((d, m, rmax))
-    Xs = np.zeros((d, rmax, m))
+    m = factors[0].Q.shape[0]
+    r = max(f.rank for f in factors)
+    if r == 0:
+        return None
+    Qs = np.zeros((d, m, r))
+    Xs = np.zeros((d, r, m))
     for j, f in enumerate(factors):
         Qs[j, :, : f.rank] = f.Q
         Xs[j, : f.rank, :] = f.X
     return Qs, Xs
 
 
-def apply_level(factors, X, side="forward", counter=None) -> np.ndarray:
-    """Apply one level's off-diagonal factors to an (n, b) block."""
-    X = np.asarray(X, dtype=float)
-    n, w = X.shape
-    d = len(factors)
-    m = n // d
-    out = np.zeros_like(X)
-    Qs, Xs = _level_tensors(factors, m)
-    if Qs is None:
-        return out
-    perm = np.array([partner(j) for j in range(d)])
-    Xb = X.reshape(d, m, w)
-    r = Qs.shape[2]
-    if side == "forward":
-        tmp = np.einsum("brm,bmw->brw", Xs, Xb)
-        res = np.einsum("bmr,brw->bmw", Qs, tmp)
-        out.reshape(d, m, w)[perm] += res
-    else:
-        tmp = np.einsum("bmr,bmw->brw", Qs, Xb[perm])
-        res = np.einsum("brm,brw->bmw", Xs, tmp)
-        out.reshape(d, m, w)[:] += res
-    if counter is not None:
-        counter.add(d * r, m, w)
-        counter.add(d * m, r, w)
-    return out
+def _apply_levels(stacks, X, out, side, counter):
+    """Add the product of each stacked level (``_stack_level`` output) with
+    the (n, w) block X into ``out`` in place.  Both must be C-contiguous, so
+    that their per-level (d, m, w) reshapes are views.
+
+    Forward, factor j maps column block j into row block partner(j) = j ^ 1;
+    transpose, it maps row block j ^ 1 back into column block j.
+    """
+    w = X.shape[1]
+    for stack in stacks:
+        if stack is None:
+            continue
+        Qs, Xs = stack
+        d, m, r = Qs.shape
+        Xb = X.reshape(d, m, w)
+        acc = out.reshape(d, m, w)
+        if side == "forward":
+            res = Qs @ (Xs @ Xb)
+            acc[0::2] += res[1::2]
+            acc[1::2] += res[0::2]
+        else:
+            perm = np.arange(d) ^ 1
+            acc += Xs.transpose(0, 2, 1) @ (Qs.transpose(0, 2, 1) @ Xb[perm])
+        if counter is not None:
+            counter.add(d * r, m, w)
+            counter.add(d * m, r, w)
 
 
 def apply_contributions(contribs, X, side="forward", counter=None) -> np.ndarray:
-    """Sum of apply_level over a list of LevelContribution."""
-    X = np.asarray(X, dtype=float)
+    """Product of the recovered levels in ``contribs`` with an (n, b) block."""
+    X = np.ascontiguousarray(X, dtype=float)
     out = np.zeros_like(X)
-    for c in contribs:
-        out += apply_level(c.factors, X, side=side, counter=counter)
+    _apply_levels([c.stacked for c in contribs], X, out, side, counter)
     return out
 
 
 def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     """Fast product H @ X (or H^T @ X); O(n k L b) arithmetic."""
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[:, None]
     if X.shape[0] != H.n:
         raise StructureError(f"expected {H.n} rows, got {X.shape[0]}")
-    out = np.zeros_like(X)
-    for ell, factors in enumerate(H.levels, start=1):
-        out += apply_level(factors, X, side=side, counter=counter)
-    d = 1 << H.L
-    m = H.n >> H.L
+    stacks, leaves = H.stacked
+    d, m, _ = leaves.shape
     w = X.shape[1]
-    leaves = np.stack(H.leaves)
     Xb = X.reshape(d, m, w)
-    if side == "forward":
-        out.reshape(d, m, w)[:] += np.einsum("bij,bjw->biw", leaves, Xb)
-    else:
-        out.reshape(d, m, w)[:] += np.einsum("bji,bjw->biw", leaves, Xb)
+    out = leaves @ Xb if side == "forward" else leaves.transpose(0, 2, 1) @ Xb
+    out = out.reshape(H.n, w)
     if counter is not None:
         counter.add(d * m, m, w)
+    _apply_levels(stacks, X, out, side, counter)
     return out[:, 0] if squeeze else out
 
 
@@ -297,6 +311,12 @@ def to_bytes(H: HodlrMatrix) -> bytes:
 
 
 def from_bytes(buf: bytes) -> HodlrMatrix:
+    """Read a container written by ``to_bytes``.
+
+    Every header field is checked against the layout before it is used, and
+    every read against the bytes left, so a damaged or lying container raises
+    only SerializationError.
+    """
     if len(buf) < len(MAGIC) + 20 + 8:
         raise SerializationError("truncated HODLR container")
     payload, checksum = buf[:-8], buf[-8:]
@@ -309,6 +329,12 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
     off += struct.calcsize("<IQII")
     if version != FORMAT_VERSION:
         raise SerializationError(f"unsupported format version {version}")
+    try:
+        expected_L = level_count(n, k)
+    except StructureError as exc:
+        raise SerializationError(f"header (n={n}, k={k}): {exc}") from None
+    if expected_L != L:
+        raise SerializationError(f"header has L={L}, but (n={n}, k={k}) needs {expected_L}")
 
     def take(count):
         nonlocal off
@@ -316,22 +342,33 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
         off += 8 * count
         return arr.astype(float)
 
+    size = len(payload)
     levels = []
     for ell in range(1, L + 1):
         m = n >> ell
         factors = []
         for j in range(1 << ell):
+            if off + 8 > size:
+                raise SerializationError(f"container ends before level {ell} block {j}")
             idx, r = struct.unpack_from("<II", payload, off)
             off += 8
             if idx != j:
                 raise SerializationError(f"block index {idx} out of order at level {ell}")
+            if r > m:
+                raise SerializationError(
+                    f"level {ell} block {j}: rank {r} exceeds block size {m}"
+                )
+            if off + 16 * m * r > size:
+                raise SerializationError(f"container ends inside level {ell} block {j}")
             Q = take(m * r).reshape(m, r)
             X = take(r * m).reshape(r, m)
             factors.append(LowRankFactors(Q=Q, X=X))
         levels.append(factors)
     m = n >> L
+    if off + 8 * n * m > size:
+        raise SerializationError("container ends inside the leaf blocks")
     leaves = [take(m * m).reshape(m, m) for _ in range(1 << L)]
-    if off != len(payload):
+    if off != size:
         raise SerializationError("trailing bytes in HODLR container")
     return HodlrMatrix(n=n, k=k, levels=levels, leaves=leaves)
 

@@ -112,12 +112,15 @@ def make_poisson_operator(t: int) -> LinearOperator:
     denom = kappa[:, None] ** 2 + kappa[None, :] ** 2
     D = np.zeros((t, t))
     D[denom > 0] = -1.0 / denom[denom > 0]
+    # D is even in both harmonics, so D * DFT2(f) is Hermitian for real f and
+    # the half spectrum of a real transform carries the whole product.
+    D_half = D[:, : t // 2 + 1]
     n = t * t
 
     def apply(X):
         # Columns are row-major t x t grids; FFT them as a batch.
-        F = np.fft.fft2(X.T.reshape(-1, t, t))
-        out = np.fft.ifft2(D[None, :, :] * F).real
+        F = np.fft.rfft2(X.T.reshape(-1, t, t))
+        out = np.fft.irfft2(D_half * F, s=(t, t))
         return out.reshape(-1, n).T
 
     return LinearOperator(n, apply, apply, name=f"poisson(t={t})")

@@ -65,6 +65,12 @@ def test_recover_accepts_hodlr_and_rejects_dense(tmp_path):
     assert "structure violation" in bad.stderr
 
 
+def test_approx_random_hodlr_without_n_is_a_usage_error():
+    r = run_cli("approx", "--operator", "random-hodlr", "--k", "4")
+    assert r.returncode == 2
+    assert r.stderr.strip() == "hodlrpeel: error: --operator random-hodlr needs --n"
+
+
 def test_bench_writes_csv_and_stamp(tmp_path):
     out = tmp_path / "rec.csv"
     r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", "2",

@@ -1,7 +1,11 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodlrpeel import hodlr
 from hodlrpeel.hodlr import (
@@ -10,6 +14,7 @@ from hodlrpeel.hodlr import (
     LevelContribution,
     SerializationError,
     StructureError,
+    apply_contributions,
     assemble,
     best_hodlr,
     from_bytes,
@@ -159,6 +164,81 @@ def test_apply_flop_scaling():
     assert 1.8 <= ratio <= 2.6
 
 
+def blockwise_apply(n, levels, leaves, X, side):
+    """H @ X (or H^T @ X) one stored block at a time: the reference for the
+    stacked kernel.  ``leaves`` may be empty (levels only)."""
+    out = np.zeros_like(X)
+    for ell, factors in enumerate(levels, start=1):
+        m = n >> ell
+        for j, f in enumerate(factors):
+            rows = slice(partner(j) * m, (partner(j) + 1) * m)
+            cols = slice(j * m, (j + 1) * m)
+            if side == "forward":
+                out[rows] += f.Q @ (f.X @ X[cols])
+            else:
+                out[cols] += f.X.T @ (f.Q.T @ X[rows])
+    for j, leaf in enumerate(leaves):
+        m = leaf.shape[0]
+        b = slice(j * m, (j + 1) * m)
+        out[b] += (leaf if side == "forward" else leaf.T) @ X[b]
+    return out
+
+
+@st.composite
+def mixed_rank_hodlr(draw):
+    """A HODLR layout whose blocks have any rank from 0 to the block size:
+    whole rank-0 levels, mixed ranks below the padded width, and untruncated
+    ranks above k."""
+    k = draw(st.integers(1, 4))
+    L = draw(st.integers(1, 4))
+    n = draw(st.integers(k // 2 + 1, k)) << L
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    contribs = []
+    for ell in range(1, L + 1):
+        m, d = n >> ell, 1 << ell
+        ranks = draw(st.one_of(
+            st.just([0] * d), st.lists(st.integers(0, m), min_size=d, max_size=d)
+        ))
+        factors = [
+            LowRankFactors(rng.standard_normal((m, r)), rng.standard_normal((r, m)))
+            for r in ranks
+        ]
+        contribs.append(LevelContribution(level=ell, factors=factors))
+    m = n >> L
+    leaves = [rng.standard_normal((m, m)) for _ in range(1 << L)]
+    X = rng.standard_normal((n, draw(st.integers(1, 5))))
+    return assemble(contribs, leaves, n=n, k=k, check_rank=False), contribs, X
+
+
+def assert_close(out, ref):
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mixed_rank_hodlr(), side=st.sampled_from(["forward", "transpose"]))
+def test_stacked_kernel_matches_blockwise_products(case, side):
+    H, contribs, X = case
+    assert_close(hodlr_apply(H, X, side=side),
+                 blockwise_apply(H.n, H.levels, H.leaves, X, side))
+    assert_close(apply_contributions(contribs, X, side=side),
+                 blockwise_apply(H.n, H.levels, [], X, side))
+    K = from_bytes(to_bytes(H))
+    assert_close(hodlr_apply(K, X, side=side),
+                 blockwise_apply(H.n, H.levels, H.leaves, X, side))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=mixed_rank_hodlr(), side=st.sampled_from(["forward", "transpose"]))
+def test_second_apply_reuses_cached_tensors_bit_identically(case, side):
+    H, contribs, X = case
+    first = hodlr_apply(H, X, side=side)
+    cached = H.stacked
+    np.testing.assert_array_equal(hodlr_apply(H, X, side=side), first)
+    assert H.stacked is cached
+    once = apply_contributions(contribs, X, side=side)
+    np.testing.assert_array_equal(apply_contributions(contribs, X, side=side), once)
+
+
 # best_hodlr ---------------------------------------------------------------------
 
 def test_best_hodlr_exact_on_hodlr_input():
@@ -265,6 +345,47 @@ def test_corruption_detected():
         from_bytes(bytes(buf))
     with pytest.raises(SerializationError):
         from_bytes(b"NOTMAGIC" + bytes(buf[8:]))
+
+
+def rechecksummed(payload):
+    payload = bytes(payload)
+    return payload + hashlib.sha256(payload).digest()[:8]
+
+
+# Header: magic (8 bytes), then version, n, k, L as <IQII at offset 8; the
+# first block record <II (index, rank) follows at offset 28.
+@pytest.mark.parametrize("fmt, offset, value", [
+    ("<I", 32, 10**6),  # first rank far above the block size
+    ("<I", 32, 8),      # first rank = block size: the data runs out
+    ("<Q", 12, 32),     # n whose layout for k = 2 has 4 levels, not 3
+    ("<Q", 12, 100),    # n with no HODLR layout for k = 2
+    ("<I", 20, 0),      # k = 0
+    ("<I", 24, 9),      # L disagrees with (n, k)
+])
+def test_tampered_rechecksummed_header_raises_serialization_error(fmt, offset, value):
+    payload = bytearray(to_bytes(random_hodlr(16, 2, stream(4, 4)))[:-8])
+    struct.pack_into(fmt, payload, offset, value)
+    with pytest.raises(SerializationError):
+        from_bytes(rechecksummed(payload))
+
+
+def test_truncated_rechecksummed_payload_raises_serialization_error():
+    payload = to_bytes(random_hodlr(16, 2, stream(4, 5)))[:-8]
+    for cut in (1, 8, 100, len(payload) - 40):
+        with pytest.raises(SerializationError):
+            from_bytes(rechecksummed(payload[:-cut]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_rechecksummed_container_raises_only_serialization_error(data):
+    payload = bytearray(to_bytes(random_hodlr(16, 2, stream(4, 6)))[:-8])
+    for _ in range(data.draw(st.integers(1, 4))):
+        payload[data.draw(st.integers(0, len(payload) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        from_bytes(rechecksummed(payload))
+    except SerializationError:
+        pass
 
 
 def test_save_load_file(tmp_path):

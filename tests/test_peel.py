@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodlrpeel import hodlr, linops, peel
+from hodlrpeel import bench, hodlr, linops, peel
 from hodlrpeel.peel import (
     GENERALIZED_NYSTROM,
     RSVD,
@@ -168,6 +168,25 @@ def test_determinism_same_seed_same_bytes():
     assert hodlr.to_bytes(H1) == hodlr.to_bytes(H2)
     H3, _ = run_peel(op, PeelConfig(k=2, s_R=4, t_R=2, s_L=8, t_L=2, seed=13))
     assert hodlr.to_bytes(H1) != hodlr.to_bytes(H3)
+
+
+@pytest.mark.parametrize("make_op, preset, k, beta", [
+    (lambda: linops.make_poisson_operator(32), "GN1", 4, 0.5),
+    (lambda: linops.make_exp_hard_instance(6, 1e8), "RSVD2", 1, 0.25),
+])
+def test_repeated_seeded_peels_in_one_process_give_same_bytes(make_op, preset, k, beta):
+    # Each peel builds and caches stacked level tensors, and each apply caches
+    # them on its H; none of that may carry over into the next peel.
+    op = make_op()
+    config = bench.preset_config(preset, k, beta, seed=21)
+    X = stream(19, 0).standard_normal((op.n, 3))
+    runs = []
+    for _ in range(2):
+        H, _ = run_peel(op, config, allow_invalid=True)
+        hodlr.hodlr_apply(H, X)
+        hodlr.hodlr_apply(H, X, side=linops.TRANSPOSE)
+        runs.append(hodlr.to_bytes(H))
+    assert runs[0] == runs[1]
 
 
 # residual_sketch -----------------------------------------------------------------
