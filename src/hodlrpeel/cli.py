@@ -36,6 +36,17 @@ def _usage_error(message):
 
 
 def _build_operator(args, k, seed):
+    """The operator the arguments name; a usage error when it has no HODLR(k)
+    layout."""
+    try:
+        op = _make_operator(args, k, seed)
+        hodlr.level_count(op.n, k)
+    except hodlr.StructureError as exc:
+        _usage_error(f"--operator {args.operator}: {exc}")
+    return op
+
+
+def _make_operator(args, k, seed):
     name = args.operator
     if name == "dense":
         if not args.infile:
@@ -85,8 +96,6 @@ def _print_report(report, n):
     )
     if report.final_error is not None:
         print(f"final_error={report.final_error:.9g}")
-    if report.approx_factor is not None:
-        print(f"approx_factor={report.approx_factor:.9g}")
 
 
 def _cmd_approx(args):

@@ -20,6 +20,10 @@ class DimensionError(ValueError):
     """Input block has the wrong number of rows, or an invalid size."""
 
 
+class NonFiniteOutputError(ValueError):
+    """An operator product contains NaN or infinity."""
+
+
 class QueryCounter:
     """Counts columns pushed through A (forward) and A^T (transpose)."""
 
@@ -77,6 +81,17 @@ class LinearOperator:
                 f"operator returned shape {out.shape} for input {X.shape}"
             )
         self.counter.add(side, X.shape[1])
+        # A finite sum proves every entry finite; only a NaN, an infinity or
+        # an overflowing sum needs the entrywise count.
+        with np.errstate(over="ignore"):
+            total = out.sum()
+        if not np.isfinite(total):
+            bad = out.size - np.count_nonzero(np.isfinite(out))
+            if bad:
+                raise NonFiniteOutputError(
+                    f"{self.name}: {side} product of a block of width"
+                    f" {X.shape[1]} has {bad} non-finite entries"
+                )
         return out[:, 0] if squeeze else out
 
     def materialize(self) -> np.ndarray:

@@ -4,12 +4,16 @@ Truncated SVD, a deterministic rank-revealing orth, randomized SVD and the
 generalized Nystrom method (both matrix-free), the in-peeling "from sketches"
 form, and evaluators for the deterministic projection perturbation bound and
 the expected-error bound that certify them.
+
+``orth``, ``pinv_solve``, ``truncate_factor`` and ``gn_from_sketches`` take a
+single matrix or a stack with a leading batch axis, so that peeling factors
+all 2^l blocks of a level with one LAPACK call each.  Stacked factors are
+zero-padded to the largest rank of the stack (see ``LowRankFactors``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linops
 
@@ -23,21 +27,56 @@ class RankError(ValueError):
 
 @dataclass
 class LowRankFactors:
-    """Rank factorization Q @ X with Q column-orthonormal."""
+    """Rank factorization Q @ X with Q column-orthonormal.
+
+    A stack of d factorizations has Q (d, m, r) and X (d, r, w), zero-padded
+    to the largest rank r: block i has rank ``ranks[i]`` and the columns of
+    Q[i] past it are zero.  ``unstack`` trims each block to its own rank.
+    """
 
     Q: np.ndarray
     X: np.ndarray
+    ranks: np.ndarray = None
 
     @property
     def rank(self) -> int:
-        return self.Q.shape[1]
+        return self.Q.shape[-1]
 
     def dense(self) -> np.ndarray:
         return self.Q @ self.X
 
+    def unstack(self) -> list:
+        return [
+            LowRankFactors(Q=self.Q[i, :, :r], X=self.X[i, :r])
+            for i, r in enumerate(self.ranks.tolist())
+        ]
+
 
 def empty_factors(m1: int, m2: int) -> LowRankFactors:
     return LowRankFactors(Q=np.zeros((m1, 0)), X=np.zeros((0, m2)))
+
+
+def _stack_factors(Q, X, ranks) -> LowRankFactors:
+    """Factors with every column of Q and row of X past its block's rank set
+    to zero; a single factorization (2-D Q, whose width is its rank) comes
+    back as it is."""
+    if Q.ndim == 2:
+        return LowRankFactors(Q=Q, X=X)
+    live = np.arange(Q.shape[-1]) < ranks[:, None]
+    Q = np.where(live[:, None, :], Q, 0.0)
+    X = np.where(live[:, :, None], X, 0.0)
+    return LowRankFactors(Q=Q, X=X, ranks=ranks)
+
+
+def _t(A) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(A, -1, -2)
+
+
+def column_ranks(Q):
+    """Ranks of an ``orth`` output: its nonzero columns (per block for a
+    stack; the kept columns are unit vectors, the padding exact zeros)."""
+    return np.count_nonzero(np.any(Q != 0.0, axis=-2), axis=-1)
 
 
 def truncated_svd(B, k: int) -> LowRankFactors:
@@ -58,39 +97,50 @@ def truncated_svd(B, k: int) -> LowRankFactors:
 
 
 def orth(Y) -> np.ndarray:
-    """Orthonormal basis for range(Y) via column-pivoted thin QR.
+    """Orthonormal basis for range(Y) via a thin SVD.
 
-    Columns whose R-diagonal magnitude falls below eps * max(shape) * ||Y||_2
-    are dropped.  Each basis column is sign-canonicalized (largest-magnitude
-    entry positive) so that nearly identical inputs yield nearly identical
-    bases; LAPACK's raw Householder signs flip on exact-zero tests, which
-    would make the basis discontinuous in its input.  Pure function of Y;
-    the zero matrix yields an empty basis.
+    Keeps the left singular vectors whose singular value exceeds
+    eps * max(m, s) * sigma_1 of the (m, s) input.  Each basis column is
+    sign-canonicalized (largest-magnitude entry positive) so that nearly
+    identical inputs yield nearly identical bases; LAPACK's raw signs flip on
+    exact-zero tests, which would make the basis discontinuous in its input.
+    Pure function of Y; the zero matrix yields an empty basis.
+
+    A stack (d, m, s) gives a stack (d, m, r) with r the largest rank: block
+    i keeps its own rank's columns first and zeros after them, which
+    ``column_ranks`` counts.
     """
     Y = np.asarray(Y, dtype=float)
-    m, s = Y.shape
-    if s == 0 or not np.any(Y):
-        return np.zeros((m, 0))
-    Q, R, _ = scipy.linalg.qr(Y, mode="economic", pivoting=True)
-    tol = EPS * max(m, s) * np.linalg.norm(Y, 2)
-    r = int(np.sum(np.abs(np.diag(R)) > tol))
-    Q = Q[:, :r]
-    if r:
-        lead = np.argmax(np.abs(Q), axis=0)
-        signs = np.sign(Q[lead, np.arange(r)])
-        signs[signs == 0] = 1.0
-        Q = Q * signs
-    return Q
+    m, s = Y.shape[-2:]
+    if min(m, s) == 0:
+        return np.zeros(Y.shape[:-1] + (0,))
+    U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+    keep = sv > EPS * max(m, s) * sv[..., :1]
+    r = int(keep.sum(axis=-1).max())
+    Q = np.where(keep[..., None, :r], U[..., :r], 0.0)
+    lead = np.argmax(np.abs(Q), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(Q, lead, axis=-2))
+    signs[signs == 0] = 1.0
+    return Q * signs
 
 
 def pinv_solve(A, B) -> np.ndarray:
-    """Minimum-norm least-squares solution of A x = B (SVD cutoff at
-    eps * max(shape) * sigma_max, numpy's default rank-revealing rcond)."""
+    """Minimum-norm least-squares solution of A x = B, from a thin SVD of A
+    with cutoff eps * max(shape) * sigma_max (numpy's default rcond).
+
+    Stacks (d, p, q) and (d, p, w) are solved block by block, and a single A
+    is broadcast against a stack of right-hand sides.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if A.shape[1] == 0:
-        return np.zeros((0, B.shape[1]))
-    return np.linalg.lstsq(A, B, rcond=None)[0]
+    p, q = A.shape[-2:]
+    if min(p, q) == 0:
+        batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        return np.zeros(batch + (q, B.shape[-1]))
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > EPS * max(p, q) * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return _t(Vt) @ (inv[..., :, None] * (_t(U) @ B))
 
 
 def _as_operator(op):
@@ -121,40 +171,54 @@ def gnm(op, k, s_R, s_L, rng) -> LowRankFactors:
     op = _as_operator(op)
     Omega = rng.standard_normal((op.n, s_R))
     Psi = rng.standard_normal((op.n, s_L))
-    Q = orth(op.apply(Omega, linops.FORWARD))
-    if Q.shape[1] == 0:
+    Y = op.apply(Omega, linops.FORWARD)
+    if not np.any(Y):
         return empty_factors(op.n, op.n)
-    PsiTB = op.apply(Psi, linops.TRANSPOSE).T
-    X = pinv_solve(Psi.T @ Q, PsiTB)
-    return truncate_factor(Q, X, k)
+    return gn_from_sketches(Y, op.apply(Psi, linops.TRANSPOSE).T, Psi, k)
 
 
-def gn_from_sketches(Y, Z, psi_t_q, k) -> LowRankFactors:
-    """Pure post-processing form used inside peeling: recover Q = orth(Y) and
-    return Q [[ (Psi^T Q)^+ Z ]]_k from already-computed (noisy) sketches."""
+def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
+    """Generalized Nystrom from already-computed (noisy) sketches of B:
+    Q = orth(Y) for the right sketch Y ~ B Omega, then Q [[ (Psi^T Q)^+ Z ]]_k
+    for the left sketch Z ~ Psi^T B.  ``k=None`` keeps the regression output
+    untruncated.
+
+    Shapes are Y (m, s_R), Z (s_L, w) and Psi (m, s_L), or stacks of them
+    with one leading batch axis, which give a padded stack of factors.
+    """
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    psi_t_q = np.asarray(psi_t_q, dtype=float)
-    Q = orth(Y)
-    if psi_t_q.shape[1] != Q.shape[1]:
+    Psi = np.asarray(Psi, dtype=float)
+    if Psi.shape[-2] != Y.shape[-2] or Psi.shape[-1] != Z.shape[-2]:
         raise RankError(
-            f"left sketch of Q has {psi_t_q.shape[1]} columns, expected {Q.shape[1]}"
+            f"left sketch {Psi.shape} does not fit Y {Y.shape} and Z {Z.shape}"
         )
-    if psi_t_q.shape[0] < psi_t_q.shape[1]:
+    Q = orth(Y)
+    if Psi.shape[-1] < Q.shape[-1]:
         raise RankError("underdetermined regression: Psi^T Q has fewer rows than columns")
-    if Q.shape[1] == 0:
-        return empty_factors(Y.shape[0], Z.shape[1])
-    X = pinv_solve(psi_t_q, Z)
+    X = pinv_solve(_t(Psi) @ Q, Z)
+    if k is None:
+        return _stack_factors(Q, X, column_ranks(Q))
     return truncate_factor(Q, X, k)
 
 
 def truncate_factor(Q, X, k) -> LowRankFactors:
-    """[[X]]_k pushed through Q, keeping the orthonormal-factor form."""
-    if X.shape[0] <= k:
-        return LowRankFactors(Q=Q, X=X)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    r = min(k, s.size)
-    return LowRankFactors(Q=Q @ U[:, :r], X=s[:r, None] * Vt[:r])
+    """[[X]]_k pushed through Q, keeping the orthonormal-factor form.
+
+    Q is an ``orth`` output (a stack included); rows of X that meet its zero
+    padding are ignored.  Each block keeps min(rank, k, w) columns for X of
+    width w.
+    """
+    if Q.ndim == 2:
+        ranks = Q.shape[1]
+    else:
+        ranks = column_ranks(Q)
+        X = np.where(np.arange(X.shape[1])[:, None] < ranks[:, None, None], X, 0.0)
+    if X.shape[-2] > min(k, X.shape[-1]):
+        U, s, Vt = np.linalg.svd(X, full_matrices=False)
+        Q = Q @ U[..., :k]
+        X = s[..., :k, None] * Vt[..., :k, :]
+    return _stack_factors(Q, X, np.minimum(ranks, X.shape[-2]))
 
 
 @dataclass

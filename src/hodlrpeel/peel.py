@@ -14,6 +14,11 @@ Query costs are deterministic: 2 L s_R t_R forward products and
 (2 L + 1) s_L t_L transpose products (the rsvd variant inherits s_L = s_R
 from the stacked bases, zero-padded so the count never depends on realized
 ranks).
+
+Each level factors its 2^l blocks together: the blocks' sketches are
+gathered into (2^l, m, s) stacks and go through one stacked ``lowrank`` call
+per step (orth, regression, truncation), so the number of LAPACK calls grows
+with the number of levels, not of blocks.
 """
 
 import math
@@ -182,14 +187,9 @@ class PeelReport:
     transpose_total: int = 0
     seconds: float = 0.0
     final_error: float = None
-    opt_error: float = None
-    approx_factor: float = None
 
-    def finalize_error(self, err, opt=None):
+    def finalize_error(self, err):
         self.final_error = float(err)
-        if opt is not None:
-            self.opt_error = float(opt)
-            self.approx_factor = float(err / opt) if opt > 0 else math.inf
 
 
 def expected_queries(config: PeelConfig, n: int) -> tuple[int, int]:
@@ -272,12 +272,60 @@ class _DenseDebug:
 
 
 def _regression_residual_ok(psi_t_q, X, Z):
-    """Relative residual of the sketched regression, the free per-level
-    structure signal used by exact_recover."""
-    scale = np.linalg.norm(Z)
-    if scale == 0.0:
-        return True
-    return np.linalg.norm(psi_t_q @ X - Z) <= STRUCTURE_TOL * scale
+    """Relative residual of the sketched regression of every block of a
+    stack, the free per-level structure signal used by exact_recover."""
+    scale = np.linalg.norm(Z, axis=(-2, -1))
+    resid = np.linalg.norm(psi_t_q @ X - Z, axis=(-2, -1))
+    return bool(np.all((scale == 0.0) | (resid <= STRUCTURE_TOL * scale)))
+
+
+def _gather(even, odd, rows, groups, s):
+    """(d, m, s) stack of sketch blocks: block j is column group ``groups[j]``
+    of row block ``rows[j]`` of the sketch ``even`` for even j and ``odd``
+    for odd j, with d = len(rows) row blocks of m rows."""
+    d = len(rows)
+    n, w = even.shape
+    out = np.empty((d, n // d, s))
+    for parity, sk in enumerate((even, odd)):
+        blocks = sk.reshape(d, n // d, w // s, s)
+        out[parity::2] = blocks[rows[parity::2], :, groups[parity::2]]
+    return out
+
+
+def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
+    """Sketch the residual at level ``ell`` and factor its 2^ell blocks with
+    one stacked generalized-Nystrom call.  Returns the stacked factors and
+    whether every block passed the regression-residual check (True when
+    ``structure_check`` is off).  Every sketch dies with the call."""
+    n, seed, s_R, s_L = op.n, config.seed, config.s_R, config.s_L
+    d = 1 << ell
+    right = sketch.sample_rand_perf_gaussian(
+        n, d, s_R, config.t_R, family_stream_key(seed, ell, ROLE_RIGHT)
+    )
+    left = sketch.sample_rand_perf_gaussian(
+        n, d, s_L, config.t_L, family_stream_key(seed, ell, ROLE_LEFT)
+    )
+    sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
+    sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
+    sk_tsp_plus = residual_sketch(op, recovered, left.assembled_plus, linops.TRANSPOSE)
+    sk_tsp_minus = residual_sketch(op, recovered, left.assembled_minus, linops.TRANSPOSE)
+    # Block j sits at (partner(j), j) = (j ^ 1, j).  Its range sketch Y_j is
+    # row block j ^ 1 of the forward sketch of j's parity; Z_j is the
+    # (sigma, j) block of (Psi^-/+)^T A^(l): the left sketch of the parity
+    # opposite to j, sigma keyed by row j ^ 1.
+    swap = np.arange(d) ^ 1
+    Y = _gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R)
+    Z = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), left.cols[swap], s_L)
+    Z = Z.transpose(0, 2, 1)
+    Psi = left.gaussian_blocks[swap]
+    if debug is not None:
+        for j in range(d):
+            debug.check_sketch_noise(d, j, right.cols[j], Y[j], right)
+    stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
+    ok = not structure_check or _regression_residual_ok(
+        Psi.transpose(0, 2, 1) @ stack.Q, stack.X, Z
+    )
+    return stack, ok
 
 
 def gn_peel(
@@ -295,7 +343,7 @@ def gn_peel(
     _validate(op, config, allow_invalid)
     n, k, seed = op.n, config.k, config.seed
     L = hodlr.level_count(n, k)
-    s_R, t_R, s_L, t_L = config.s_R, config.t_R, config.s_L, config.t_L
+    s_L, t_L = config.s_L, config.t_L
     debug = _DenseDebug(dense_reference) if dense_reference is not None else None
     report = PeelReport(variant=config.variant)
     t_start = time.perf_counter()
@@ -305,43 +353,9 @@ def gn_peel(
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
         f0, r0 = op.counter.snapshot()
-        d = 1 << ell
-        m = n >> ell
-        right = sketch.sample_rand_perf_gaussian(
-            n, d, s_R, t_R, family_stream_key(seed, ell, ROLE_RIGHT)
-        )
-        left = sketch.sample_rand_perf_gaussian(
-            n, d, s_L, t_L, family_stream_key(seed, ell, ROLE_LEFT)
-        )
-        sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
-        sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
-        sk_tsp_plus = residual_sketch(op, recovered, left.assembled_plus, linops.TRANSPOSE)
-        sk_tsp_minus = residual_sketch(op, recovered, left.assembled_minus, linops.TRANSPOSE)
-        factors = []
-        for j in range(d):
-            p = hodlr.partner(j)
-            plus = sketch.block_is_plus(j)
-            rho = right.cols[j]
-            fwd = sk_fwd_plus if plus else sk_fwd_minus
-            Y = fwd[p * m:(p + 1) * m, rho * s_R:(rho + 1) * s_R]
-            if debug is not None:
-                debug.check_sketch_noise(d, j, rho, Y, right)
-            Q = lowrank.orth(Y)
-            # Z_j is the (sigma, j) block of (Psi^-/+)^T A^(l): the left
-            # sketch of the parity opposite to j, sigma keyed by row j+-1.
-            sigma = left.cols[p]
-            tsp = sk_tsp_minus if plus else sk_tsp_plus
-            Zt = tsp[j * m:(j + 1) * m, sigma * s_L:(sigma + 1) * s_L]
-            psi_t_q = left.gaussian_blocks[p].T @ Q
-            X = lowrank.pinv_solve(psi_t_q, Zt.T)
-            if structure_check and not _regression_residual_ok(psi_t_q, X, Zt.T):
-                structure_ok = False
-            f = (
-                lowrank.truncate_factor(Q, X, k)
-                if truncate
-                else lowrank.LowRankFactors(Q=Q, X=X)
-            )
-            factors.append(f)
+        stack, ok = _gn_level(op, recovered, config, ell, truncate, debug, structure_check)
+        structure_ok = structure_ok and ok
+        factors = stack.unstack()
         recovered.append(hodlr.LevelContribution(level=ell, factors=factors))
         f1, r1 = op.counter.snapshot()
         err = debug.finish_level(ell, factors) if debug is not None else None
@@ -353,21 +367,17 @@ def gn_peel(
     t0 = time.perf_counter()
     f0, r0 = op.counter.snapshot()
     d = 1 << L
-    m = n >> L
     fam = sketch.sample_rand_perf_gaussian(
         n, d, s_L, t_L, family_stream_key(seed, L + 1, ROLE_DIAG)
     )
     psi_hat = fam.assembled_plus + fam.assembled_minus
     sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    leaves = []
-    for j in range(d):
-        sigma = fam.cols[j]
-        Zt = sk_diag[j * m:(j + 1) * m, sigma * s_L:(sigma + 1) * s_L]
-        psi_t = fam.gaussian_blocks[j].T
-        Xhat = lowrank.pinv_solve(psi_t, Zt.T)
-        if structure_check and not _regression_residual_ok(psi_t, Xhat, Zt.T):
-            structure_ok = False
-        leaves.append(Xhat)
+    Z = _gather(sk_diag, sk_diag, np.arange(d), fam.cols, s_L).transpose(0, 2, 1)
+    psi_t = fam.gaussian_blocks.transpose(0, 2, 1)
+    leaves = lowrank.pinv_solve(psi_t, Z)
+    if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
+        structure_ok = False
+    leaves = list(leaves)
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
 
@@ -380,6 +390,38 @@ def gn_peel(
             "sketched regression residual exceeded tolerance: operator is not HODLR(k)"
         )
     return H, report
+
+
+def _rsvd_level(op, recovered, config, ell, truncate):
+    """Sketch the residual at level ``ell`` and factor its 2^ell blocks with
+    stacked calls: bases from the range sketches, then a projection sketch
+    built from the bases.  Returns the stacked factors."""
+    n, seed, s_R = op.n, config.seed, config.s_R
+    d = 1 << ell
+    m = n >> ell
+    right = sketch.sample_rand_perf_gaussian(
+        n, d, s_R, config.t_R, family_stream_key(seed, ell, ROLE_RIGHT)
+    )
+    sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
+    sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
+    swap = np.arange(d) ^ 1
+    bases = lowrank.orth(_gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R))
+    # Projection sketch: block row i carries the basis recovered for the
+    # off-diagonal block living in that row, zero-padded to width s_R so
+    # the transpose cost is the same at every level.
+    stacked = np.zeros((d, m, s_R))
+    stacked[:, :, : bases.shape[2]] = bases[swap]
+    stacked = stacked.reshape(n, s_R)
+    zeta_plus, zeta_minus = sketch.sample_perf_countsketch(
+        d, config.t_L, stream(seed, ell, ROLE_LEFT)
+    )
+    psi_plus = sketch.bullet(zeta_plus.entries, stacked)
+    psi_minus = sketch.bullet(zeta_minus.entries, stacked)
+    sk_tsp_plus = residual_sketch(op, recovered, psi_plus, linops.TRANSPOSE)
+    sk_tsp_minus = residual_sketch(op, recovered, psi_minus, linops.TRANSPOSE)
+    # Both selectors share one draw, so zeta_plus.cols keys either parity.
+    X = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), zeta_plus.cols[swap], s_R)
+    return _project_truncate(bases, X.transpose(0, 2, 1), config.k if truncate else None)
 
 
 def rsvd_peel(
@@ -396,7 +438,7 @@ def rsvd_peel(
     _validate(op, config, allow_invalid)
     n, k, seed = op.n, config.k, config.seed
     L = hodlr.level_count(n, k)
-    s_R, t_R, t_L = config.s_R, config.t_R, config.t_L
+    s_R, t_L = config.s_R, config.t_L
     report = PeelReport(variant=config.variant)
     t_start = time.perf_counter()
     recovered = []
@@ -404,43 +446,8 @@ def rsvd_peel(
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
         f0, r0 = op.counter.snapshot()
-        d = 1 << ell
-        m = n >> ell
-        right = sketch.sample_rand_perf_gaussian(
-            n, d, s_R, t_R, family_stream_key(seed, ell, ROLE_RIGHT)
-        )
-        sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
-        sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
-        bases = []
-        for j in range(d):
-            p = hodlr.partner(j)
-            rho = right.cols[j]
-            fwd = sk_fwd_plus if sketch.block_is_plus(j) else sk_fwd_minus
-            Y = fwd[p * m:(p + 1) * m, rho * s_R:(rho + 1) * s_R]
-            bases.append(lowrank.orth(Y))
-        # Projection sketch: block row i carries the basis recovered for the
-        # off-diagonal block living in that row, zero-padded to width s_R so
-        # the transpose cost is the same at every level.
-        stacked = np.zeros((n, s_R))
-        for i in range(d):
-            Qi = bases[hodlr.partner(i)]
-            stacked[i * m:(i + 1) * m, : Qi.shape[1]] = Qi
-        zeta_plus, zeta_minus = sketch.sample_perf_countsketch(
-            d, t_L, stream(seed, ell, ROLE_LEFT)
-        )
-        psi_plus = sketch.bullet(zeta_plus.entries, stacked)
-        psi_minus = sketch.bullet(zeta_minus.entries, stacked)
-        sk_tsp_plus = residual_sketch(op, recovered, psi_plus, linops.TRANSPOSE)
-        sk_tsp_minus = residual_sketch(op, recovered, psi_minus, linops.TRANSPOSE)
-        factors = []
-        for j in range(d):
-            p = hodlr.partner(j)
-            plus = sketch.block_is_plus(j)
-            Q = bases[j]
-            sigma = zeta_minus.cols[p] if plus else zeta_plus.cols[p]
-            tsp = sk_tsp_minus if plus else sk_tsp_plus
-            X = tsp[j * m:(j + 1) * m, sigma * s_R:(sigma + 1) * s_R].T
-            factors.append(_project_truncate(Q, X, k if truncate else None))
+        stack = _rsvd_level(op, recovered, config, ell, truncate)
+        factors = stack.unstack()
         recovered.append(hodlr.LevelContribution(level=ell, factors=factors))
         f1, r1 = op.counter.snapshot()
         report.levels.append(LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0))
@@ -455,11 +462,8 @@ def rsvd_peel(
     pad_eye[:, :m] = np.eye(m)
     psi_hat = sketch.bullet(zeta.entries, np.tile(pad_eye, (d, 1)))
     sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    leaves = []
-    for j in range(d):
-        sigma = zeta.cols[j]
-        Zt = sk_diag[j * m:(j + 1) * m, sigma * s_R:(sigma + 1) * s_R]
-        leaves.append(lowrank.pinv_solve(pad_eye.T, Zt.T))
+    Z = _gather(sk_diag, sk_diag, np.arange(d), zeta.cols, s_R).transpose(0, 2, 1)
+    leaves = list(lowrank.pinv_solve(pad_eye.T, Z))
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
 
@@ -471,17 +475,16 @@ def rsvd_peel(
 
 
 def _project_truncate(Q, X_padded, k):
-    """Factor Q_pad [[X]]_k where X rows beyond rank(Q) hit zero-padded
-    columns; re-orthonormalized so the stored factor keeps the Q X form."""
-    r = Q.shape[1]
-    if X_padded.shape[0] == 0 or r == 0:
-        return lowrank.empty_factors(Q.shape[0], X_padded.shape[1])
+    """Factor Q_pad [[X]]_k for a level's stack of bases Q (d, m, r) and
+    projections X (d, s_R, m), whose rows beyond each basis' rank hit
+    zero-padded columns; re-orthonormalized so the stored factors keep the
+    Q X form.  ``k=None`` keeps every direction."""
     U, s, Vt = np.linalg.svd(X_padded, full_matrices=False)
-    keep = s.size if k is None else min(k, s.size)
-    Qraw = Q @ U[:r, :keep]
+    keep = s.shape[-1] if k is None else min(k, s.shape[-1])
+    Qraw = Q @ U[:, : Q.shape[2], :keep]
     Qn = lowrank.orth(Qraw)
-    Xn = (Qn.T @ Qraw) @ (s[:keep, None] * Vt[:keep])
-    return lowrank.LowRankFactors(Q=Qn, X=Xn)
+    Xn = (Qn.transpose(0, 2, 1) @ Qraw) @ (s[:, :keep, None] * Vt[:, :keep])
+    return lowrank.LowRankFactors(Q=Qn, X=Xn, ranks=lowrank.column_ranks(Qn))
 
 
 def run_peel(op, config, **kw):

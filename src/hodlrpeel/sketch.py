@@ -86,14 +86,15 @@ def sample_perf_countsketch(d, t, rng) -> tuple[BlockSelector, BlockSelector]:
 class SketchFamily:
     """One level's perforated sketch bundle.
 
-    ``gaussian_blocks[i]`` is the (n/d, s) block shared by both assembled
-    sketches; ``assembled_plus``/``assembled_minus`` are the n x (s*t)
-    matrices selector_plus . stacked / selector_minus . stacked.
+    ``gaussian_blocks`` is the (d, n/d, s) array whose block i is shared by
+    both assembled sketches; ``assembled_plus``/``assembled_minus`` are the
+    n x (s*t) matrices selector_plus . stacked / selector_minus . stacked,
+    with ``stacked`` the blocks on top of each other.
     """
 
     selector_plus: BlockSelector
     selector_minus: BlockSelector
-    gaussian_blocks: list
+    gaussian_blocks: np.ndarray
     assembled_plus: np.ndarray
     assembled_minus: np.ndarray
 
@@ -107,7 +108,7 @@ class SketchFamily:
 
     @property
     def s(self) -> int:
-        return self.gaussian_blocks[0].shape[1]
+        return self.gaussian_blocks.shape[2]
 
     @property
     def t(self) -> int:
@@ -135,12 +136,10 @@ def sample_rand_perf_gaussian(n, d, s, t, seed_seq) -> SketchFamily:
         seed_seq = np.random.SeedSequence(seed_seq)
     children = seed_seq.spawn(d + 1)
     plus, minus = sample_perf_countsketch(d, t, np.random.default_rng(children[0]))
-    m = n // d
-    blocks = [
-        np.random.default_rng(children[i + 1]).standard_normal((m, s))
-        for i in range(d)
-    ]
-    stacked = np.concatenate(blocks, axis=0)
+    blocks = np.empty((d, n // d, s))
+    for i in range(d):
+        np.random.default_rng(children[i + 1]).standard_normal(out=blocks[i])
+    stacked = blocks.reshape(n, s)
     return SketchFamily(
         selector_plus=plus,
         selector_minus=minus,

@@ -71,6 +71,14 @@ def test_approx_random_hodlr_without_n_is_a_usage_error():
     assert r.stderr.strip() == "hodlrpeel: error: --operator random-hodlr needs --n"
 
 
+def test_approx_random_hodlr_without_layout_is_a_usage_error():
+    r = run_cli("approx", "--operator", "random-hodlr", "--n", "100", "--k", "4")
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("hodlrpeel: error: --operator random-hodlr: n=100")
+
+
 def test_bench_writes_csv_and_stamp(tmp_path):
     out = tmp_path / "rec.csv"
     r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", "2",

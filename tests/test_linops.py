@@ -210,3 +210,22 @@ def test_dense_csv_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     linops.save_dense_csv(M, path)
     np.testing.assert_allclose(linops.load_dense_csv(path), M)
+
+
+@pytest.mark.parametrize("side", [FORWARD, TRANSPOSE])
+def test_non_finite_output_names_operator_side_and_width(side):
+    M = np.eye(4)
+    M[2, 1] = np.nan
+    op = linops.make_dense_operator(M, name="nan-dense")
+    with pytest.raises(
+        linops.NonFiniteOutputError,
+        match=f"nan-dense: {side} product of a block of width 3 has 3 non-finite",
+    ):
+        op.apply(np.ones((4, 3)), side)
+
+
+def test_finite_output_with_overflowing_sum_is_accepted():
+    # the entries are finite but their sum overflows to inf
+    op = linops.make_dense_operator(np.diag([1e308, 1e308]))
+    out = op.apply(np.ones((2, 1)), FORWARD)
+    np.testing.assert_array_equal(out, [[1e308], [1e308]])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodlrpeel import lowrank
 from hodlrpeel.lowrank import (
@@ -14,6 +16,7 @@ from hodlrpeel.lowrank import (
     pinv_solve,
     rsvd,
     rsvd_perturb_bound_rhs,
+    truncate_factor,
     truncated_svd,
 )
 from hodlrpeel.rng import stream
@@ -94,6 +97,86 @@ def test_orth_is_stable_under_tiny_perturbation():
     Y2 = Y.copy()
     Y2[1] = 1e-300
     np.testing.assert_allclose(orth(Y), orth(Y2), atol=1e-12)
+
+
+# stacked input -------------------------------------------------------------------
+
+@st.composite
+def ragged_stack(draw):
+    """A stack (d, m, s) of exact-rank blocks with ranks drawn per block from
+    0..min(m, s), m down to 1, plus a seeded generator for further data."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 7))
+    s = draw(st.integers(1, 6))
+    ranks = draw(st.lists(st.integers(0, min(m, s)), min_size=d, max_size=d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = np.stack([
+        rng.standard_normal((m, r)) @ rng.standard_normal((r, s)) for r in ranks
+    ])
+    return Y, rng
+
+
+def assert_close(a, b):
+    scale = max(np.linalg.norm(a), np.linalg.norm(b), 1e-300)
+    assert np.linalg.norm(a - b) <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ragged_stack())
+def test_stacked_orth_matches_blockwise(case):
+    Y, _ = case
+    Q = orth(Y)
+    ranks = lowrank.column_ranks(Q)
+    for i in range(Y.shape[0]):
+        Qi = orth(Y[i])
+        assert ranks[i] == Qi.shape[1]
+        assert_close(Q[i, :, : ranks[i]], Qi)
+        assert not Q[i, :, ranks[i]:].any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ragged_stack(), w=st.integers(1, 5))
+def test_stacked_pinv_solve_matches_blockwise(case, w):
+    A, rng = case
+    B = rng.standard_normal((A.shape[0], A.shape[1], w))
+    X = pinv_solve(A, B)
+    for i in range(A.shape[0]):
+        assert_close(X[i], pinv_solve(A[i], B[i]))
+    # one matrix broadcast against the whole stack of right-hand sides
+    X0 = pinv_solve(A[0], B)
+    for i in range(A.shape[0]):
+        assert_close(X0[i], pinv_solve(A[0], B[i]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=ragged_stack(), w=st.integers(1, 6), k=st.integers(1, 4))
+def test_stacked_truncate_factor_matches_blockwise(case, w, k):
+    Y, rng = case
+    Q = orth(Y)
+    # rows past a block's rank meet zero columns of Q and must be ignored
+    X = rng.standard_normal((Y.shape[0], Q.shape[2], w))
+    stack = truncate_factor(Q, X, k)
+    ranks = lowrank.column_ranks(Q)
+    for i, f in enumerate(stack.unstack()):
+        ref = truncate_factor(Q[i, :, : ranks[i]], X[i, : ranks[i]], k)
+        assert f.rank == ref.rank == min(ranks[i], k, w)
+        assert_close(f.dense(), ref.dense())
+        assert_close(stack.dense()[i], ref.dense())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ragged_stack(), extra=st.integers(0, 3), k=st.integers(1, 4))
+def test_stacked_gn_from_sketches_matches_blockwise(case, extra, k):
+    Y, rng = case
+    d, m, s = Y.shape
+    Psi = rng.standard_normal((d, m, s + extra))
+    Z = rng.standard_normal((d, s + extra, m))
+    for kk in (k, None):
+        stack = gn_from_sketches(Y, Z, Psi, kk)
+        for i, f in enumerate(stack.unstack()):
+            ref = gn_from_sketches(Y[i], Z[i], Psi[i], kk)
+            assert f.rank == ref.rank
+            assert_close(f.dense(), ref.dense())
 
 
 # pinv_solve ---------------------------------------------------------------------
@@ -210,23 +293,21 @@ def test_gn_from_sketches_recovers_rank_k():
     Omega = rng.standard_normal((16, 2))
     Psi = rng.standard_normal((16, 2))
     Y = B @ Omega
-    Q = orth(Y)
-    f = gn_from_sketches(Y, Psi.T @ B, Psi.T @ Q, 2)
+    f = gn_from_sketches(Y, Psi.T @ B, Psi, 2)
     assert np.linalg.norm(B - f.dense()) <= 1e-9 * np.linalg.norm(B)
 
 
 def test_gn_from_sketches_zero_sketch():
     Y = stream(8, 1).standard_normal((6, 2))
-    Q = orth(Y)
-    psi_t_q = stream(8, 2).standard_normal((4, Q.shape[1]))
-    f = gn_from_sketches(Y, np.zeros((4, 6)), psi_t_q, 2)
+    Psi = stream(8, 2).standard_normal((6, 4))
+    f = gn_from_sketches(Y, np.zeros((4, 6)), Psi, 2)
     assert not f.dense().any()
 
 
 def test_gn_from_sketches_rejects_underdetermined():
     Y = stream(8, 3).standard_normal((6, 3))
     with pytest.raises(RankError):
-        gn_from_sketches(Y, np.zeros((2, 6)), np.zeros((2, 3)), 2)
+        gn_from_sketches(Y, np.zeros((2, 6)), np.zeros((6, 2)), 2)
 
 
 def test_gn_noise_injection_stays_under_pointwise_bound():
@@ -245,7 +326,7 @@ def test_gn_noise_injection_stays_under_pointwise_bound():
         Y = B @ Omega + E1
         Q = orth(Y)
         psi_t_q = Psi.T @ Q
-        f = gn_from_sketches(Y, Psi.T @ B + F, psi_t_q, k)
+        f = gn_from_sketches(Y, Psi.T @ B + F, Psi, k)
         lhs = np.linalg.norm(B - f.dense())
         # realized regression output X defines the effective projection noise
         X = pinv_solve(psi_t_q, Psi.T @ B + F)

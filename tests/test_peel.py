@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodlrpeel import bench, hodlr, linops, peel
+from hodlrpeel import bench, hodlr, linops, lowrank, peel
 from hodlrpeel.peel import (
     GENERALIZED_NYSTROM,
     RSVD,
@@ -187,6 +187,88 @@ def test_repeated_seeded_peels_in_one_process_give_same_bytes(make_op, preset, k
         hodlr.hodlr_apply(H, X, side=linops.TRANSPOSE)
         runs.append(hodlr.to_bytes(H))
     assert runs[0] == runs[1]
+
+
+def test_nan_in_operator_raises_typed_error():
+    A = hodlr.random_hodlr(64, 2, stream(17, 9)).to_dense()
+    A[40, 3] = np.nan
+    op = linops.make_dense_operator(A, name="nan-hodlr")
+    for variant in (GENERALIZED_NYSTROM, RSVD):
+        with pytest.raises(linops.NonFiniteOutputError, match="nan-hodlr: forward"):
+            run_peel(op, PeelConfig(k=2, s_R=4, variant=variant, seed=0))
+
+
+def zeroed_hodlr(n, k, zeroed, key):
+    """random_hodlr with the off-diagonal factors at (level, block) in
+    ``zeroed`` replaced by zero blocks."""
+    H = hodlr.random_hodlr(n, k, stream(22, *key))
+    for ell, j in zeroed:
+        f = H.levels[ell - 1][j]
+        H.levels[ell - 1][j] = lowrank.LowRankFactors(Q=f.Q, X=np.zeros_like(f.X))
+    return H.to_dense()
+
+
+# Level 1 block 0 covers rows 32-63 x columns 0-31 and level 2 block 2 rows
+# 48-63 x columns 32-47, so both range sketches are exact zeros: every other
+# block their rows meet is either zero or not sketched by their parity.
+ZEROED = {(1, 0), (2, 2)}
+
+
+def test_level_with_rank_zero_and_rank_k_blocks():
+    n, k = 64, 2
+    A = zeroed_hodlr(n, k, ZEROED, (0,))
+    op = linops.make_dense_operator(A)
+    H, _ = run_peel(op, peel.exact_config(k, seed=4))
+    assert np.linalg.norm(A - H.to_dense()) <= 1e-8 * np.linalg.norm(A)
+    for ell, factors in enumerate(H.levels, start=1):
+        for j, f in enumerate(factors):
+            assert f.rank == (0 if (ell, j) in ZEROED else k), (ell, j)
+
+
+def test_regression_residual_check_is_per_block():
+    # a large consistent block must not hide a small inconsistent one
+    rng = stream(23, 0)
+    psi_t_q = rng.standard_normal((2, 6, 2))
+    X = rng.standard_normal((2, 2, 5))
+    X[0] *= 1e8
+    Z = psi_t_q @ X
+    assert peel._regression_residual_ok(psi_t_q, X, Z)
+    Z[1] += 1e-3 * np.linalg.norm(Z[1]) * rng.standard_normal((6, 5))
+    assert not peel._regression_residual_ok(psi_t_q, X, Z)
+
+
+@pytest.mark.parametrize("preset", ["GN2", "RSVD2"])
+def test_perforated_peels_keep_zero_blocks_at_rank_zero(preset):
+    n, k = 64, 2
+    A = zeroed_hodlr(n, k, ZEROED, (0,))
+    op = linops.make_dense_operator(A)
+    config = bench.preset_config(preset, k, 0.5, seed=6)
+    assert config.t_R > 1
+    H, _ = run_peel(op, config, allow_invalid=True)
+    assert np.linalg.norm(A - H.to_dense()) <= 1e-8 * np.linalg.norm(A)
+    for ell, j in ZEROED:
+        assert H.levels[ell - 1][j].rank == 0
+
+
+@pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
+def test_block_factorization_calls_grow_with_levels_not_blocks(variant, monkeypatch):
+    # each level factors all of its blocks with one stacked call
+    n, k = 512, 2
+    op, _ = hodlr_operator(n, k, (9,))
+    calls = {}
+    for name in ("orth", "pinv_solve", "truncate_factor"):
+        original = getattr(lowrank, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(lowrank, name, counted)
+    run_peel(op, PeelConfig(k=k, s_R=4, t_R=2, t_L=2, variant=variant, seed=1))
+    L = hodlr.level_count(n, k)
+    assert calls["orth"] <= 2 * (L + 1)
+    assert calls["pinv_solve"] <= 2 * (L + 1)
+    assert calls.get("truncate_factor", 0) <= 2 * (L + 1)
 
 
 # residual_sketch -----------------------------------------------------------------
