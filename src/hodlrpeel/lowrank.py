@@ -6,9 +6,11 @@ form, and evaluators for the deterministic projection perturbation bound and
 the expected-error bound that certify them.
 
 ``orth``, ``pinv_solve``, ``truncate_factor`` and ``gn_from_sketches`` take a
-single matrix or a stack with a leading batch axis, so that peeling factors
-all 2^l blocks of a level with one LAPACK call each.  Stacked factors are
-zero-padded to the largest rank of the stack (see ``LowRankFactors``).
+single matrix or a stack with leading batch axes, through one code path
+for both, so that peeling factors all 2^l blocks of a level with one LAPACK
+call each.  Stacked factors are padded to the largest rank of the stack (see
+``LowRankFactors``).  Stacks may be strided views, such as the partner
+view of a level's Gaussian blocks; nothing here copies them.
 """
 
 from dataclasses import dataclass
@@ -29,9 +31,11 @@ class RankError(ValueError):
 class LowRankFactors:
     """Rank factorization Q @ X with Q column-orthonormal.
 
-    A stack of d factorizations has Q (d, m, r) and X (d, r, w), zero-padded
-    to the largest rank r: block i has rank ``ranks[i]`` and the columns of
-    Q[i] past it are zero.  ``unstack`` trims each block to its own rank.
+    A stack of factorizations has Q (..., m, r) and X (..., r, w), with any
+    leading batch axes, padded to the largest rank r: block b has rank
+    ``ranks[b]``, and the columns of Q[b] and rows of X[b] past it are
+    padding, which adds nothing to Q[b] @ X[b] beyond rounding.  ``unstack``
+    trims each block to its own rank.
     """
 
     Q: np.ndarray
@@ -46,9 +50,15 @@ class LowRankFactors:
         return self.Q @ self.X
 
     def unstack(self) -> list:
+        """The blocks of a stack, batch axes flattened in C order, each cut
+        to its own rank."""
+        ranks = self.ranks.ravel()
+        Q = self.Q.reshape(ranks.shape + self.Q.shape[-2:])
+        X = self.X.reshape(ranks.shape + self.X.shape[-2:])
+        width = Q.shape[-1]
         return [
-            LowRankFactors(Q=self.Q[i, :, :r], X=self.X[i, :r])
-            for i, r in enumerate(self.ranks.tolist())
+            LowRankFactors(Q=q[:, :r], X=x[:r]) if r < width else LowRankFactors(Q=q, X=x)
+            for q, x, r in zip(Q, X, ranks.tolist())
         ]
 
 
@@ -56,27 +66,16 @@ def empty_factors(m1: int, m2: int) -> LowRankFactors:
     return LowRankFactors(Q=np.zeros((m1, 0)), X=np.zeros((0, m2)))
 
 
-def _stack_factors(Q, X, ranks) -> LowRankFactors:
-    """Factors with every column of Q and row of X past its block's rank set
-    to zero; a single factorization (2-D Q, whose width is its rank) comes
-    back as it is."""
-    if Q.ndim == 2:
-        return LowRankFactors(Q=Q, X=X)
-    live = np.arange(Q.shape[-1]) < ranks[:, None]
-    Q = np.where(live[:, None, :], Q, 0.0)
-    X = np.where(live[:, :, None], X, 0.0)
-    return LowRankFactors(Q=Q, X=X, ranks=ranks)
-
-
 def _t(A) -> np.ndarray:
     """Transpose of each matrix in a stack."""
     return np.swapaxes(A, -1, -2)
 
 
-def column_ranks(Q):
-    """Ranks of an ``orth`` output: its nonzero columns (per block for a
-    stack; the kept columns are unit vectors, the padding exact zeros)."""
-    return np.count_nonzero(np.any(Q != 0.0, axis=-2), axis=-1)
+def column_ranks(Q) -> np.ndarray:
+    """Ranks of an ``orth`` output: its nonzero columns, per block of a stack
+    (the kept columns are unit vectors, the padding exact zeros); a 0-d
+    array for a single matrix."""
+    return np.asarray(np.count_nonzero(np.any(Q != 0.0, axis=-2), axis=-1))
 
 
 def truncated_svd(B, k: int) -> LowRankFactors:
@@ -106,9 +105,9 @@ def orth(Y) -> np.ndarray:
     exact-zero tests, which would make the basis discontinuous in its input.
     Pure function of Y; the zero matrix yields an empty basis.
 
-    A stack (d, m, s) gives a stack (d, m, r) with r the largest rank: block
-    i keeps its own rank's columns first and zeros after them, which
-    ``column_ranks`` counts.
+    A stack (..., m, s) gives a stack (..., m, r) with r the largest rank:
+    each block keeps its own rank's columns first and zeros after them,
+    which ``column_ranks`` counts.
     """
     Y = np.asarray(Y, dtype=float)
     m, s = Y.shape[-2:]
@@ -128,8 +127,8 @@ def pinv_solve(A, B) -> np.ndarray:
     """Minimum-norm least-squares solution of A x = B, from a thin SVD of A
     with cutoff eps * max(shape) * sigma_max (numpy's default rcond).
 
-    Stacks (d, p, q) and (d, p, w) are solved block by block, and a single A
-    is broadcast against a stack of right-hand sides.
+    Stacks (..., p, q) and (..., p, w) are solved block by block, and a
+    single A is broadcast against a stack of right-hand sides.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -184,7 +183,7 @@ def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
     untruncated.
 
     Shapes are Y (m, s_R), Z (s_L, w) and Psi (m, s_L), or stacks of them
-    with one leading batch axis, which give a padded stack of factors.
+    with the same leading batch axes, which give a padded stack of factors.
     """
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -198,27 +197,24 @@ def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
         raise RankError("underdetermined regression: Psi^T Q has fewer rows than columns")
     X = pinv_solve(_t(Psi) @ Q, Z)
     if k is None:
-        return _stack_factors(Q, X, column_ranks(Q))
+        return LowRankFactors(Q=Q, X=X, ranks=column_ranks(Q))
     return truncate_factor(Q, X, k)
 
 
 def truncate_factor(Q, X, k) -> LowRankFactors:
     """[[X]]_k pushed through Q, keeping the orthonormal-factor form.
 
-    Q is an ``orth`` output (a stack included); rows of X that meet its zero
-    padding are ignored.  Each block keeps min(rank, k, w) columns for X of
-    width w.
+    Q is an ``orth`` output, a stack included; rows of X that meet its zero
+    padding are ignored.  Each block keeps min(rank, k, w) directions for X
+    of width w, so a block's result does not depend on the rest of its stack.
     """
-    if Q.ndim == 2:
-        ranks = Q.shape[1]
-    else:
-        ranks = column_ranks(Q)
-        X = np.where(np.arange(X.shape[1])[:, None] < ranks[:, None, None], X, 0.0)
+    ranks = column_ranks(Q)
+    X = np.where(np.arange(X.shape[-2])[:, None] < ranks[..., None, None], X, 0.0)
     if X.shape[-2] > min(k, X.shape[-1]):
         U, s, Vt = np.linalg.svd(X, full_matrices=False)
         Q = Q @ U[..., :k]
         X = s[..., :k, None] * Vt[..., :k, :]
-    return _stack_factors(Q, X, np.minimum(ranks, X.shape[-2]))
+    return LowRankFactors(Q=Q, X=X, ranks=np.minimum(ranks, X.shape[-2]))
 
 
 @dataclass

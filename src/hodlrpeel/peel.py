@@ -16,9 +16,11 @@ from the stacked bases, zero-padded so the count never depends on realized
 ranks).
 
 Each level factors its 2^l blocks together: the blocks' sketches are
-gathered into (2^l, m, s) stacks and go through one stacked ``lowrank`` call
-per step (orth, regression, truncation), so the number of LAPACK calls grows
-with the number of levels, not of blocks.
+gathered into (2^(l-1), 2, m, s) stacks of sibling pairs and go through one
+stacked ``lowrank`` call per step (orth, regression, truncation), so the
+number of LAPACK calls grows with the number of levels, not of blocks.  A
+block's left Gaussian is its partner's, read through the strided view
+``[:, ::-1]`` of the family's blocks rather than copied.
 """
 
 import math
@@ -29,7 +31,6 @@ import numpy as np
 
 from . import hodlr, linops, lowrank, sketch
 from .rng import ROLE_CHECK, ROLE_DIAG, ROLE_LEFT, ROLE_RIGHT, stream
-from .sketch import family_stream_key
 
 GENERALIZED_NYSTROM = "generalized_nystrom"
 RSVD = "rsvd"
@@ -280,16 +281,23 @@ def _regression_residual_ok(psi_t_q, X, Z):
 
 
 def _gather(even, odd, rows, groups, s):
-    """(d, m, s) stack of sketch blocks: block j is column group ``groups[j]``
-    of row block ``rows[j]`` of the sketch ``even`` for even j and ``odd``
-    for odd j, with d = len(rows) row blocks of m rows."""
+    """Sketch blocks of a level as a (d/2, 2, m, s) stack, indexed by sibling
+    pair and place in the pair: block j = 2a + b is column group
+    ``groups[j]`` of row block ``rows[j]`` of the sketch ``even`` (b = 0) or
+    ``odd`` (b = 1), with d = len(rows) row blocks of m rows.  Partners are
+    the two blocks of a pair, so ``stack[:, ::-1]`` is the partner view."""
     d = len(rows)
     n, w = even.shape
-    out = np.empty((d, n // d, s))
-    for parity, sk in enumerate((even, odd)):
+    out = np.empty((d // 2, 2, n // d, s))
+    for b, sk in enumerate((even, odd)):
         blocks = sk.reshape(d, n // d, w // s, s)
-        out[parity::2] = blocks[rows[parity::2], :, groups[parity::2]]
+        out[:, b] = blocks[rows[b::2], :, groups[b::2]]
     return out
+
+
+def _pairs(blocks):
+    """(d/2, 2, m, s) view of a (d, m, s) stack, as ``_gather`` lays out."""
+    return blocks.reshape((-1, 2) + blocks.shape[1:])
 
 
 def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
@@ -300,10 +308,10 @@ def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
     n, seed, s_R, s_L = op.n, config.seed, config.s_R, config.s_L
     d = 1 << ell
     right = sketch.sample_rand_perf_gaussian(
-        n, d, s_R, config.t_R, family_stream_key(seed, ell, ROLE_RIGHT)
+        n, d, s_R, config.t_R, (seed, ell, ROLE_RIGHT)
     )
     left = sketch.sample_rand_perf_gaussian(
-        n, d, s_L, config.t_L, family_stream_key(seed, ell, ROLE_LEFT)
+        n, d, s_L, config.t_L, (seed, ell, ROLE_LEFT)
     )
     sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
     sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
@@ -312,18 +320,18 @@ def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
     # Block j sits at (partner(j), j) = (j ^ 1, j).  Its range sketch Y_j is
     # row block j ^ 1 of the forward sketch of j's parity; Z_j is the
     # (sigma, j) block of (Psi^-/+)^T A^(l): the left sketch of the parity
-    # opposite to j, sigma keyed by row j ^ 1.
+    # opposite to j, sigma keyed by row j ^ 1, whose Gaussian block is Psi_j.
     swap = np.arange(d) ^ 1
     Y = _gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R)
     Z = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), left.cols[swap], s_L)
-    Z = Z.transpose(0, 2, 1)
-    Psi = left.gaussian_blocks[swap]
+    Z = Z.swapaxes(-1, -2)
+    Psi = _pairs(left.gaussian_blocks)[:, ::-1]
     if debug is not None:
-        for j in range(d):
-            debug.check_sketch_noise(d, j, right.cols[j], Y[j], right)
+        for j, Y_j in enumerate(Y.reshape(d, -1, s_R)):
+            debug.check_sketch_noise(d, j, right.cols[j], Y_j, right)
     stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
     ok = not structure_check or _regression_residual_ok(
-        Psi.transpose(0, 2, 1) @ stack.Q, stack.X, Z
+        Psi.swapaxes(-1, -2) @ stack.Q, stack.X, Z
     )
     return stack, ok
 
@@ -368,16 +376,16 @@ def gn_peel(
     f0, r0 = op.counter.snapshot()
     d = 1 << L
     fam = sketch.sample_rand_perf_gaussian(
-        n, d, s_L, t_L, family_stream_key(seed, L + 1, ROLE_DIAG)
+        n, d, s_L, t_L, (seed, L + 1, ROLE_DIAG)
     )
     psi_hat = fam.assembled_plus + fam.assembled_minus
     sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    Z = _gather(sk_diag, sk_diag, np.arange(d), fam.cols, s_L).transpose(0, 2, 1)
-    psi_t = fam.gaussian_blocks.transpose(0, 2, 1)
+    Z = _gather(sk_diag, sk_diag, np.arange(d), fam.cols, s_L).swapaxes(-1, -2)
+    psi_t = _pairs(fam.gaussian_blocks).swapaxes(-1, -2)
     leaves = lowrank.pinv_solve(psi_t, Z)
     if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
         structure_ok = False
-    leaves = list(leaves)
+    leaves = list(leaves.reshape((d,) + leaves.shape[-2:]))
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
 
@@ -400,20 +408,20 @@ def _rsvd_level(op, recovered, config, ell, truncate):
     d = 1 << ell
     m = n >> ell
     right = sketch.sample_rand_perf_gaussian(
-        n, d, s_R, config.t_R, family_stream_key(seed, ell, ROLE_RIGHT)
+        n, d, s_R, config.t_R, (seed, ell, ROLE_RIGHT)
     )
     sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
     sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
     swap = np.arange(d) ^ 1
     bases = lowrank.orth(_gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R))
     # Projection sketch: block row i carries the basis recovered for the
-    # off-diagonal block living in that row, zero-padded to width s_R so
-    # the transpose cost is the same at every level.
-    stacked = np.zeros((d, m, s_R))
-    stacked[:, :, : bases.shape[2]] = bases[swap]
+    # off-diagonal block living in that row (its partner's), zero-padded to
+    # width s_R so the transpose cost is the same at every level.
+    stacked = np.zeros((d // 2, 2, m, s_R))
+    stacked[..., : bases.shape[-1]] = bases[:, ::-1]
     stacked = stacked.reshape(n, s_R)
     zeta_plus, zeta_minus = sketch.sample_perf_countsketch(
-        d, config.t_L, stream(seed, ell, ROLE_LEFT)
+        d, config.t_L, (seed, ell, ROLE_LEFT)
     )
     psi_plus = sketch.bullet(zeta_plus.entries, stacked)
     psi_minus = sketch.bullet(zeta_minus.entries, stacked)
@@ -421,7 +429,7 @@ def _rsvd_level(op, recovered, config, ell, truncate):
     sk_tsp_minus = residual_sketch(op, recovered, psi_minus, linops.TRANSPOSE)
     # Both selectors share one draw, so zeta_plus.cols keys either parity.
     X = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), zeta_plus.cols[swap], s_R)
-    return _project_truncate(bases, X.transpose(0, 2, 1), config.k if truncate else None)
+    return _project_truncate(bases, X.swapaxes(-1, -2), config.k if truncate else None)
 
 
 def rsvd_peel(
@@ -457,13 +465,13 @@ def rsvd_peel(
     f0, r0 = op.counter.snapshot()
     d = 1 << L
     m = n >> L
-    zeta = sketch.sample_countsketch(d, t_L, stream(seed, L + 1, ROLE_DIAG))
+    zeta = sketch.sample_countsketch(d, t_L, (seed, L + 1, ROLE_DIAG))
     pad_eye = np.zeros((m, s_R))
     pad_eye[:, :m] = np.eye(m)
     psi_hat = sketch.bullet(zeta.entries, np.tile(pad_eye, (d, 1)))
     sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    Z = _gather(sk_diag, sk_diag, np.arange(d), zeta.cols, s_R).transpose(0, 2, 1)
-    leaves = list(lowrank.pinv_solve(pad_eye.T, Z))
+    Z = _gather(sk_diag, sk_diag, np.arange(d), zeta.cols, s_R).swapaxes(-1, -2)
+    leaves = list(lowrank.pinv_solve(pad_eye.T, Z).reshape(d, m, m))
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
 
@@ -475,15 +483,15 @@ def rsvd_peel(
 
 
 def _project_truncate(Q, X_padded, k):
-    """Factor Q_pad [[X]]_k for a level's stack of bases Q (d, m, r) and
-    projections X (d, s_R, m), whose rows beyond each basis' rank hit
+    """Factor Q_pad [[X]]_k for a level's stack of bases Q (..., m, r) and
+    projections X (..., s_R, m), whose rows beyond each basis' rank hit
     zero-padded columns; re-orthonormalized so the stored factors keep the
     Q X form.  ``k=None`` keeps every direction."""
     U, s, Vt = np.linalg.svd(X_padded, full_matrices=False)
     keep = s.shape[-1] if k is None else min(k, s.shape[-1])
-    Qraw = Q @ U[:, : Q.shape[2], :keep]
+    Qraw = Q @ U[..., : Q.shape[-1], :keep]
     Qn = lowrank.orth(Qraw)
-    Xn = (Qn.transpose(0, 2, 1) @ Qraw) @ (s[:, :keep, None] * Vt[:, :keep])
+    Xn = (Qn.swapaxes(-1, -2) @ Qraw) @ (s[..., :keep, None] * Vt[..., :keep, :])
     return lowrank.LowRankFactors(Q=Qn, X=Xn, ranks=lowrank.column_ranks(Qn))
 
 

@@ -16,7 +16,7 @@ ROLE_CHECK = 3
 
 
 def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(x) for x in key))
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -5,6 +5,11 @@ through the operator: a block row-wise Kronecker product ("bullet"), a 0/1
 selector with one nonzero per row (CountSketch), its parity-masked pair, and
 the randomly perforated Gaussian family assembled from both.
 
+The samplers take their randomness as a stream key (seed, *key), the key
+under which ``rng.stream`` names a stream, and build their generators from
+it themselves.  A key is an immutable value, so sampling twice from the same
+key draws the same bits.
+
 Block indices are 0-based in code; a block row is "odd" in the 1-based sense
 of the sketch layout exactly when its 0-based index is even.  The plus family
 keeps those rows and zeroes the rest; the minus family does the opposite.
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import seed_sequence
+from .rng import stream
 
 
 def block_is_plus(i: int) -> bool:
@@ -60,22 +65,23 @@ class BlockSelector:
         return self.entries.shape[1]
 
 
-def sample_countsketch(d: int, t: int, rng: np.random.Generator) -> BlockSelector:
-    """Each row has a single 1 in a uniformly random column."""
+def sample_countsketch(d: int, t: int, key: tuple) -> BlockSelector:
+    """Each row has a single 1 in a uniformly random column, drawn from the
+    stream ``key``."""
     if d < 1 or t < 1:
         raise ValueError("selector dimensions must be >= 1")
-    cols = rng.integers(0, t, size=d)
+    cols = stream(*key).integers(0, t, size=d)
     entries = np.zeros((d, t))
     entries[np.arange(d), cols] = 1.0
     return BlockSelector(entries=entries, cols=cols)
 
 
-def sample_perf_countsketch(d, t, rng) -> tuple[BlockSelector, BlockSelector]:
+def sample_perf_countsketch(d, t, key) -> tuple[BlockSelector, BlockSelector]:
     """One CountSketch draw masked into a (plus, minus) pair: plus zeroes the
     1-based even rows, minus the odd ones, and plus + minus restores the draw."""
     if d % 2 != 0:
         raise ValueError(f"perforated selector needs even d, got {d}")
-    base = sample_countsketch(d, t, rng)
+    base = sample_countsketch(d, t, key)
     odd_mask = (np.arange(d) % 2 == 0).astype(float)[:, None]
     plus = BlockSelector(entries=base.entries * odd_mask, cols=base.cols)
     minus = BlockSelector(entries=base.entries * (1.0 - odd_mask), cols=base.cols)
@@ -119,12 +125,13 @@ class SketchFamily:
         return self.selector_plus.cols
 
 
-def sample_rand_perf_gaussian(n, d, s, t, seed_seq) -> SketchFamily:
-    """Randomly perforated Gaussian family.
+def sample_rand_perf_gaussian(n, d, s, t, key) -> SketchFamily:
+    """Randomly perforated Gaussian family from the stream key ``key``.
 
-    ``seed_seq`` is a numpy SeedSequence (or anything accepted by it); the
-    selector and each Gaussian block draw from disjoint child streams, so a
-    family is reproducible without replaying anything else.
+    The selector draws from the child stream (*key, 0) and Gaussian block i
+    from (*key, i + 1), so a family is reproducible without replaying
+    anything else.  These are the streams ``SeedSequence.spawn`` would give
+    the children of ``rng.seed_sequence(*key)``.
     """
     if n % d != 0:
         raise ValueError(f"{d} block rows do not divide n={n}")
@@ -132,13 +139,10 @@ def sample_rand_perf_gaussian(n, d, s, t, seed_seq) -> SketchFamily:
         raise ValueError(f"perforation needs an even block count, got {d}")
     if s < 1 or t < 1:
         raise ValueError("sketch width and column count must be >= 1")
-    if not isinstance(seed_seq, np.random.SeedSequence):
-        seed_seq = np.random.SeedSequence(seed_seq)
-    children = seed_seq.spawn(d + 1)
-    plus, minus = sample_perf_countsketch(d, t, np.random.default_rng(children[0]))
+    plus, minus = sample_perf_countsketch(d, t, (*key, 0))
     blocks = np.empty((d, n // d, s))
     for i in range(d):
-        np.random.default_rng(children[i + 1]).standard_normal(out=blocks[i])
+        stream(*key, i + 1).standard_normal(out=blocks[i])
     stacked = blocks.reshape(n, s)
     return SketchFamily(
         selector_plus=plus,
@@ -147,8 +151,3 @@ def sample_rand_perf_gaussian(n, d, s, t, seed_seq) -> SketchFamily:
         assembled_plus=bullet(plus.entries, stacked),
         assembled_minus=bullet(minus.entries, stacked),
     )
-
-
-def family_stream_key(seed: int, level: int, role: int) -> np.random.SeedSequence:
-    """SeedSequence for the (level, role) sketch family under ``seed``."""
-    return seed_sequence(seed, level, role)

@@ -179,6 +179,29 @@ def test_stacked_gn_from_sketches_matches_blockwise(case, extra, k):
             assert_close(f.dense(), ref.dense())
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=ragged_stack(), extra=st.integers(0, 3), k=st.integers(1, 4))
+def test_gn_from_sketches_on_pairs_with_a_strided_partner_view(case, extra, k):
+    # peeling's layout: (d/2, 2, m, s) sibling pairs, each block regressed on
+    # its partner's Gaussian through the copy-free view G[:, ::-1]
+    Y, rng = case
+    d, m, s = Y.shape
+    Y = np.concatenate([Y, Y[::-1]])
+    pairs = d
+    G = rng.standard_normal((pairs, 2, m, s + extra))
+    Z = rng.standard_normal((pairs, 2, s + extra, m))
+    Psi = G[:, ::-1]
+    assert not Psi.flags.c_contiguous and np.shares_memory(Psi, G)
+    stack = gn_from_sketches(Y.reshape(pairs, 2, m, s), Z, Psi, k)
+    assert stack.ranks.shape == (pairs, 2)
+    blocks = stack.unstack()
+    for j, f in enumerate(blocks):
+        a, b = divmod(j, 2)
+        ref = gn_from_sketches(Y[j], Z[a, b], G[a, 1 - b].copy(), k)
+        assert f.rank == ref.rank == stack.ranks[a, b]
+        assert_close(f.dense(), ref.dense())
+
+
 # pinv_solve ---------------------------------------------------------------------
 
 def test_pinv_solve_identity():

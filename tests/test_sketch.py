@@ -41,12 +41,12 @@ def test_bullet_rejects_indivisible():
 
 
 def test_countsketch_single_column_forced():
-    sel = sketch.sample_countsketch(5, 1, stream(1, 0))
+    sel = sketch.sample_countsketch(5, 1, (1, 0))
     np.testing.assert_array_equal(sel.entries, np.ones((5, 1)))
 
 
 def test_countsketch_row_sums():
-    sel = sketch.sample_countsketch(64, 7, stream(1, 1))
+    sel = sketch.sample_countsketch(64, 7, (1, 1))
     np.testing.assert_array_equal(sel.entries.sum(axis=1), np.ones(64))
     assert all(sel.entries[i, sel.cols[i]] == 1.0 for i in range(64))
 
@@ -54,20 +54,19 @@ def test_countsketch_row_sums():
 def test_countsketch_column_frequencies():
     # Monte-Carlo frequency check at t=4 over 1e5 independent rows (~3 sigma
     # band); rows are iid, so one tall draw has the same law as 1e5 d=1 draws
-    rng = stream(2024, 0)
-    sel = sketch.sample_countsketch(100000, 4, rng)
+    sel = sketch.sample_countsketch(100000, 4, (2024, 0))
     freq = np.bincount(sel.cols, minlength=4) / 100000
     assert all(0.2475 <= f <= 0.2525 for f in freq)
 
 
 def test_perf_countsketch_masks():
-    plus, minus = sketch.sample_perf_countsketch(2, 1, stream(2, 0))
+    plus, minus = sketch.sample_perf_countsketch(2, 1, (2, 0))
     np.testing.assert_array_equal(plus.entries, [[1.0], [0.0]])
     np.testing.assert_array_equal(minus.entries, [[0.0], [1.0]])
 
 
 def test_perf_countsketch_pair_structure():
-    plus, minus = sketch.sample_perf_countsketch(16, 5, stream(2, 1))
+    plus, minus = sketch.sample_perf_countsketch(16, 5, (2, 1))
     total = plus.entries + minus.entries
     np.testing.assert_array_equal(total.sum(axis=1), np.ones(16))
     assert not (plus.entries * minus.entries).any()
@@ -75,11 +74,11 @@ def test_perf_countsketch_pair_structure():
 
 def test_perf_countsketch_rejects_odd():
     with pytest.raises(ValueError):
-        sketch.sample_perf_countsketch(3, 2, stream(2, 2))
+        sketch.sample_perf_countsketch(3, 2, (2, 2))
 
 
 def test_family_minimal_layout():
-    fam = sketch.sample_rand_perf_gaussian(4, 2, 1, 1, seed_sequence(3, 0))
+    fam = sketch.sample_rand_perf_gaussian(4, 2, 1, 1, (3, 0))
     g, h = fam.gaussian_blocks
     np.testing.assert_array_equal(fam.assembled_plus, np.vstack([g, np.zeros((2, 1))]))
     np.testing.assert_array_equal(fam.assembled_minus, np.vstack([np.zeros((2, 1)), h]))
@@ -87,7 +86,7 @@ def test_family_minimal_layout():
 
 @pytest.mark.parametrize("n,d,s,t", [(16, 4, 3, 2), (32, 8, 2, 5), (24, 2, 4, 1)])
 def test_family_shapes_and_reconstruction(n, d, s, t):
-    fam = sketch.sample_rand_perf_gaussian(n, d, s, t, seed_sequence(3, 1))
+    fam = sketch.sample_rand_perf_gaussian(n, d, s, t, (3, 1))
     assert fam.assembled_plus.shape == (n, s * t)
     stacked = np.concatenate(fam.gaussian_blocks, axis=0)
     np.testing.assert_array_equal(
@@ -101,7 +100,7 @@ def test_family_shapes_and_reconstruction(n, d, s, t):
 def test_family_perforation_parity():
     # every block row is zero in exactly one of the two assembled sketches
     n, d, s, t = 32, 8, 2, 3
-    fam = sketch.sample_rand_perf_gaussian(n, d, s, t, seed_sequence(3, 2))
+    fam = sketch.sample_rand_perf_gaussian(n, d, s, t, (3, 2))
     m = n // d
     for i in range(d):
         rows = slice(i * m, (i + 1) * m)
@@ -118,16 +117,32 @@ def test_family_perforation_parity():
 
 
 def test_family_reseeding_reproduces_bits():
-    a = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, seed_sequence(9, 5))
-    b = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, seed_sequence(9, 5))
+    a = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 5))
+    b = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 5))
     np.testing.assert_array_equal(a.assembled_plus, b.assembled_plus)
     np.testing.assert_array_equal(a.assembled_minus, b.assembled_minus)
-    c = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, seed_sequence(9, 6))
+    c = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 6))
     assert (a.assembled_plus != c.assembled_plus).any()
 
 
+def test_family_draws_from_the_child_streams_of_its_key():
+    # selector from (*key, 0), block i from (*key, i + 1): the children
+    # SeedSequence.spawn gives seed_sequence(*key), so the bits do not depend
+    # on how the key reached the sampler
+    key = (9, 5, 1)
+    fam = sketch.sample_rand_perf_gaussian(32, 8, 3, 2, key)
+    spawned = seed_sequence(*key).spawn(9)
+    for i in range(8):
+        np.testing.assert_array_equal(
+            fam.gaussian_blocks[i], np.random.default_rng(spawned[i + 1]).standard_normal((4, 3))
+        )
+    cols = np.random.default_rng(spawned[0]).integers(0, 2, size=8)
+    np.testing.assert_array_equal(fam.cols, cols)
+    np.testing.assert_array_equal(sketch.sample_countsketch(8, 2, (*key, 0)).cols, cols)
+
+
 def test_family_block_streams_are_disjoint():
-    fam = sketch.sample_rand_perf_gaussian(16, 4, 8, 1, seed_sequence(9, 7))
+    fam = sketch.sample_rand_perf_gaussian(16, 4, 8, 1, (9, 7))
     blocks = fam.gaussian_blocks
     for i in range(4):
         for j in range(i + 1, 4):
@@ -138,7 +153,7 @@ def test_gaussian_entry_second_moment():
     # pooled nonzero entries across many small families, ~1e5 values
     vals = []
     for r in range(100):
-        fam = sketch.sample_rand_perf_gaussian(40, 4, 25, 1, seed_sequence(10, r))
+        fam = sketch.sample_rand_perf_gaussian(40, 4, 25, 1, (10, r))
         vals.append(np.concatenate([b.ravel() for b in fam.gaussian_blocks]))
     vals = np.concatenate(vals)
     assert vals.size == 100000
@@ -147,9 +162,9 @@ def test_gaussian_entry_second_moment():
 
 def test_family_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        sketch.sample_rand_perf_gaussian(10, 4, 2, 1, seed_sequence(0))
+        sketch.sample_rand_perf_gaussian(10, 4, 2, 1, (0,))
     with pytest.raises(ValueError):
-        sketch.sample_rand_perf_gaussian(12, 3, 2, 1, seed_sequence(0))
+        sketch.sample_rand_perf_gaussian(12, 3, 2, 1, (0,))
 
 
 def test_gaussian_pinv_second_moment_identity():
