@@ -46,11 +46,9 @@ from .peel import (
     exact_config,
     exact_recover,
     expected_queries,
-    gn_peel,
     params_for_beta,
     run_peel,
     residual_sketch,
-    rsvd_peel,
 )
 from .sketch import (
     BlockSelector,

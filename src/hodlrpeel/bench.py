@@ -11,7 +11,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,14 +96,6 @@ class ExperimentRow:
         return tuple(getattr(self, c) for c in RESULT_COLUMNS)
 
 
-@dataclass
-class ExperimentResult:
-    rows: list = field(default_factory=list)
-
-    def extend(self, rows):
-        self.rows.extend(rows)
-
-
 def _trial_seed(root_seed, *key) -> int:
     return int(seed_sequence(root_seed, *key).generate_state(1)[0])
 
@@ -144,20 +136,19 @@ def _opt_error(A, k) -> float:
     return float(np.linalg.norm(A - hodlr.best_hodlr(A, k).to_dense()))
 
 
-def run_experiment(name, grid=None, trials=None, seed=0) -> ExperimentResult:
-    """Run a named experiment over its parameter grid.
+def run_experiment(name, grid=None, trials=None, seed=0) -> list:
+    """Run a named experiment over its parameter grid; returns its
+    ExperimentRows.
 
     ``grid`` overrides the per-experiment defaults key by key; every cell
     draws its trial seeds from a stream keyed by (seed, cell, trial).
+    ``bound_checks`` ignores the grid and takes ``trials`` as the dict of
+    per-check counts that ``bound_checks`` documents.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    grid = dict(grid or {})
-    result = ExperimentResult()
     if name == "bound_checks":
-        checks = bound_checks(seed=seed, trials=trials)
-        result.extend(_bound_rows(checks, seed))
-        return result
+        return bound_rows(bound_checks(seed=seed, trials=trials), seed)
     runner = {
         "poisson": _poisson_rows,
         "kernel": _kernel_rows,
@@ -165,8 +156,7 @@ def run_experiment(name, grid=None, trials=None, seed=0) -> ExperimentResult:
         "exp_hard": _exp_hard_rows,
         "recovery": _recovery_rows,
     }[name]
-    result.extend(runner(grid, trials, seed))
-    return result
+    return runner(dict(grid or {}), trials, seed)
 
 
 def _poisson_rows(grid, trials, seed):
@@ -396,9 +386,12 @@ def check_gaussian_pinv_moment(seed=0, trials=20000) -> BoundCheck:
 
 
 def bound_checks(seed=0, trials=None) -> list:
+    """Run the three bound checks.  ``trials`` optionally maps "pointwise",
+    "expectation" and "moment" to a check's trial count; each check has its
+    own default, so one count for all of them is rejected."""
+    if trials is not None and not isinstance(trials, dict):
+        raise ValueError(f"bound_checks takes per-check trial counts as a dict, got {trials!r}")
     t = trials or {}
-    if isinstance(t, int):
-        t = {}
     return [
         check_projection_perturbation(seed, t.get("pointwise", 200)),
         check_gn_expected_error(seed, t.get("expectation", 1000)),
@@ -406,25 +399,26 @@ def bound_checks(seed=0, trials=None) -> list:
     ]
 
 
-def _bound_rows(checks, seed):
-    rows = []
-    for i, c in enumerate(checks):
-        rows.append(
-            ExperimentRow(
-                experiment="bound_checks",
-                preset=c.name,
-                n=0,
-                k=0,
-                beta=0.0,
-                trial=c.trials,
-                relative_error=(c.measured / c.limit) if c.limit else math.inf,
-                absolute_error=c.measured,
-                forward_queries=0,
-                transpose_queries=0,
-                seed=seed,
-            )
+def bound_rows(checks, seed) -> list:
+    """Bound checks as ExperimentRows: ``trial`` holds a check's trial count,
+    ``relative_error`` measured/limit and ``absolute_error`` the measured
+    value."""
+    return [
+        ExperimentRow(
+            experiment="bound_checks",
+            preset=c.name,
+            n=0,
+            k=0,
+            beta=0.0,
+            trial=c.trials,
+            relative_error=(c.measured / c.limit) if c.limit else math.inf,
+            absolute_error=c.measured,
+            forward_queries=0,
+            transpose_queries=0,
+            seed=seed,
         )
-    return rows
+        for c in checks
+    ]
 
 
 # Output ---------------------------------------------------------------------
@@ -435,13 +429,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit(result: ExperimentResult, path, fmt="csv") -> None:
-    """Write results as a flat CSV or as per-curve aggregated series files."""
+def emit(rows, path, fmt="csv") -> None:
+    """Write ExperimentRows as a flat CSV or as per-curve aggregated series
+    files."""
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(RESULT_COLUMNS)
-        for row in result.rows:
+        for row in rows:
             w.writerow([_fmt(v) for v in row.astuple()])
         with open(path, "w", newline="") as fh:
             fh.write(buf.getvalue())
@@ -450,7 +445,7 @@ def emit(result: ExperimentResult, path, fmt="csv") -> None:
         raise ValueError(f"unknown format {fmt!r}")
     os.makedirs(path, exist_ok=True)
     curves = {}
-    for row in result.rows:
+    for row in rows:
         curves.setdefault((row.experiment, row.preset, row.k), {}).setdefault(
             (row.n, row.beta), []
         ).append(row)
@@ -459,10 +454,10 @@ def emit(result: ExperimentResult, path, fmt="csv") -> None:
         with open(fname, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["n", "beta", "mean_relative_error", "mean_absolute_error", "trials"])
-            for (n, beta), rows in sorted(series.items()):
-                rel = float(np.mean([r.relative_error for r in rows]))
-                ab = float(np.mean([r.absolute_error for r in rows]))
-                w.writerow([_fmt(n), _fmt(beta), _fmt(rel), _fmt(ab), len(rows)])
+            for (n, beta), cell in sorted(series.items()):
+                rel = float(np.mean([r.relative_error for r in cell]))
+                ab = float(np.mean([r.absolute_error for r in cell]))
+                w.writerow([_fmt(n), _fmt(beta), _fmt(rel), _fmt(ab), len(cell)])
 
 
 def write_config_stamp(path, experiment, settings: dict) -> None:

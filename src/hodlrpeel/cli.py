@@ -46,6 +46,22 @@ def _build_operator(args, k, seed):
     return op
 
 
+def _poisson_side(n):
+    """Grid side t of the Poisson operator with n = t^2 unknowns."""
+    t = int(round(n**0.5))
+    if t * t != n:
+        _usage_error(f"poisson dimension must be a square, got {n}")
+    return t
+
+
+def _exp_hard_levels(n):
+    """Level count L of the exp-hard instance with n = 2^L."""
+    L = int(n).bit_length() - 1
+    if 1 << L != n:
+        _usage_error(f"exp-hard dimension must be a power of two, got {n}")
+    return L
+
+
 def _make_operator(args, k, seed):
     name = args.operator
     if name == "dense":
@@ -55,10 +71,7 @@ def _make_operator(args, k, seed):
     if name == "poisson":
         if not args.n:
             _usage_error("--operator poisson needs --n (a perfect square)")
-        t = int(round(args.n**0.5))
-        if t * t != args.n:
-            _usage_error(f"poisson dimension must be a square, got {args.n}")
-        return linops.make_poisson_operator(t)
+        return linops.make_poisson_operator(_poisson_side(args.n))
     if name == "kernel":
         if args.points:
             pts = linops.load_points_csv(args.points)
@@ -72,10 +85,7 @@ def _make_operator(args, k, seed):
     if name == "exp-hard":
         if not args.n:
             _usage_error("--operator exp-hard needs --n (a power of two)")
-        L = int(args.n).bit_length() - 1
-        if 1 << L != args.n:
-            _usage_error(f"exp-hard dimension must be a power of two, got {args.n}")
-        return linops.make_exp_hard_instance(L, args.eta)
+        return linops.make_exp_hard_instance(_exp_hard_levels(args.n), args.eta)
     if not args.n:
         _usage_error("--operator random-hodlr needs --n")
     H = hodlr.random_hodlr(args.n, k, stream(seed, 2))
@@ -111,7 +121,7 @@ def _cmd_approx(args):
     )
     if op.n <= linops.DESK_SCALE_LIMIT:
         A = op.materialize()
-        report.finalize_error(np.linalg.norm(A - H.to_dense()))
+        report.final_error = float(np.linalg.norm(A - H.to_dense()))
     if args.out:
         hodlr.save(H, args.out)
         print(f"wrote {args.out}")
@@ -142,10 +152,16 @@ def _float_list(text):
 
 
 def _cmd_bench(args):
+    if args.experiment == "bound_checks" and args.trials is not None:
+        _usage_error("--trials does not apply to bound_checks: each check has its own count")
     grid = {}
     if args.n:
         grid["n"] = _int_list(args.n)
-        grid["t"] = [int(round(v**0.5)) for v in grid["n"]]
+        if args.experiment == "poisson":
+            grid["t"] = [_poisson_side(n) for n in grid["n"]]
+        if args.experiment == "exp_hard":
+            for n in grid["n"]:
+                _exp_hard_levels(n)
     if args.k:
         grid["k"] = _int_list(args.k)
     if args.beta:
@@ -154,15 +170,15 @@ def _cmd_bench(args):
         grid["preset"] = args.preset.split(",")
     if args.variant:
         grid["variant"] = args.variant.split(",")
-    result = bench.run_experiment(args.experiment, grid, trials=args.trials, seed=args.seed)
+    rows = bench.run_experiment(args.experiment, grid, trials=args.trials, seed=args.seed)
     out = args.out or f"{args.experiment}.csv"
-    bench.emit(result, out, fmt=args.format)
+    bench.emit(rows, out, fmt=args.format)
     settings = {"experiment": args.experiment, "trials": args.trials or "default",
                 "seed": args.seed, "format": args.format, "out": out}
     settings.update({key: ",".join(map(str, val)) if isinstance(val, list) else val
                      for key, val in grid.items()})
     bench.write_config_stamp(f"{out}.config", args.experiment, settings)
-    print(f"wrote {out} ({len(result.rows)} rows) and {out}.config")
+    print(f"wrote {out} ({len(rows)} rows) and {out}.config")
     return 0
 
 
@@ -175,9 +191,7 @@ def _cmd_check_bounds(args):
               f" trials={c.trials} ({c.detail})")
         failed += 0 if c.passed else 1
     if args.out:
-        result = bench.ExperimentResult()
-        result.extend(bench._bound_rows(checks, args.seed))
-        bench.emit(result, args.out, fmt="csv")
+        bench.emit(bench.bound_rows(checks, args.seed), args.out, fmt="csv")
         print(f"wrote {args.out}")
     return 1 if failed else 0
 

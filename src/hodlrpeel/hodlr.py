@@ -297,17 +297,23 @@ def random_hodlr(n, k, rng, leaf_scale=1.0) -> HodlrMatrix:
 # SHA-256 of everything before it, little-endian).
 
 def to_bytes(H: HodlrMatrix) -> bytes:
-    parts = [MAGIC, struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]
+    # Each section (header, one level, the leaves) is joined straight from
+    # the arrays and hashed whole: the container is copied twice in all, and
+    # the hash is updated once per section, not once per (possibly tiny) array.
+    sections = [[MAGIC, struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]]
     for factors in H.levels:
+        section = []
         for j, f in enumerate(factors):
-            parts.append(struct.pack("<II", j, f.rank))
-            parts.append(np.ascontiguousarray(f.Q, dtype="<f8").tobytes())
-            parts.append(np.ascontiguousarray(f.X, dtype="<f8").tobytes())
-    for leaf in H.leaves:
-        parts.append(np.ascontiguousarray(leaf, dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    checksum = hashlib.sha256(payload).digest()[:8]
-    return payload + checksum
+            section.append(struct.pack("<II", j, f.rank))
+            section.append(np.ascontiguousarray(f.Q, dtype="<f8"))
+            section.append(np.ascontiguousarray(f.X, dtype="<f8"))
+        sections.append(section)
+    sections.append([np.ascontiguousarray(leaf, dtype="<f8") for leaf in H.leaves])
+    chunks = [b"".join(section) for section in sections]
+    checksum = hashlib.sha256()
+    for chunk in chunks:
+        checksum.update(chunk)
+    return b"".join(chunks + [checksum.digest()[:8]])
 
 
 def from_bytes(buf: bytes) -> HodlrMatrix:

@@ -1,14 +1,16 @@
 """Randomized peeling for HODLR approximation.
 
-Two matrix-free variants recover the off-diagonal low-rank blocks level by
-level and the leaf diagonals last, subtracting already-recovered levels from
-every fresh sketch:
+``run_peel`` recovers the off-diagonal low-rank blocks level by level and
+the leaf diagonals last, subtracting already-recovered levels from every
+fresh sketch.  Every level takes its range bases from a perforated right
+sketch; the variant named by ``PeelConfig.variant`` supplies only the
+level's right-factor step and the leaf sketch:
 
-* ``gn_peel``   — generalized Nystrom per block: range from a perforated
-  right sketch, right factor from a sketched regression against an
-  independent perforated left sketch.
-* ``rsvd_peel`` — randomized SVD per block: same ranges, then a direct
-  projection sketch built by stacking the recovered bases themselves.
+* ``generalized_nystrom`` — right factor from a sketched regression against
+  an independent perforated left sketch; leaves from one more perforated
+  Gaussian family.
+* ``rsvd`` — right factor from a direct projection sketch built by stacking
+  the recovered bases themselves; leaves from a stacked identity.
 
 Query costs are deterministic: 2 L s_R t_R forward products and
 (2 L + 1) s_L t_L transpose products (the rsvd variant inherits s_L = s_R
@@ -189,9 +191,6 @@ class PeelReport:
     seconds: float = 0.0
     final_error: float = None
 
-    def finalize_error(self, err):
-        self.final_error = float(err)
-
 
 def expected_queries(config: PeelConfig, n: int) -> tuple[int, int]:
     """Closed-form (forward, transpose) query counts of a full peel."""
@@ -210,15 +209,6 @@ def residual_sketch(op, recovered, block, side) -> np.ndarray:
     if recovered:
         out = out - hodlr.apply_contributions(recovered, block, side=side)
     return out
-
-
-def _validate(op, config, allow_invalid):
-    hodlr.level_count(op.n, config.k)  # rejects incompatible (n, k)
-    violations = config.theory_violations()
-    if violations and not allow_invalid:
-        raise ConfigError(
-            "config fails guarantee validation: " + "; ".join(violations)
-        )
 
 
 class _DenseDebug:
@@ -300,35 +290,50 @@ def _pairs(blocks):
     return blocks.reshape((-1, 2) + blocks.shape[1:])
 
 
-def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
-    """Sketch the residual at level ``ell`` and factor its 2^ell blocks with
-    one stacked generalized-Nystrom call.  Returns the stacked factors and
-    whether every block passed the regression-residual check (True when
-    ``structure_check`` is off).  Every sketch dies with the call."""
-    n, seed, s_R, s_L = op.n, config.seed, config.s_R, config.s_L
+def _range_sketch(op, recovered, config, ell, debug):
+    """Range sketches Y_j of the 2^ell blocks of level ``ell`` as a stack.
+
+    Block j sits at (partner(j), j) = (j ^ 1, j); Y_j is row block j ^ 1 of
+    the forward residual sketch of j's parity under the perforated right
+    family."""
     d = 1 << ell
     right = sketch.sample_rand_perf_gaussian(
-        n, d, s_R, config.t_R, (seed, ell, ROLE_RIGHT)
+        op.n, d, config.s_R, config.t_R, (config.seed, ell, ROLE_RIGHT)
     )
-    left = sketch.sample_rand_perf_gaussian(
-        n, d, s_L, config.t_L, (seed, ell, ROLE_LEFT)
-    )
-    sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
-    sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
-    sk_tsp_plus = residual_sketch(op, recovered, left.assembled_plus, linops.TRANSPOSE)
-    sk_tsp_minus = residual_sketch(op, recovered, left.assembled_minus, linops.TRANSPOSE)
-    # Block j sits at (partner(j), j) = (j ^ 1, j).  Its range sketch Y_j is
-    # row block j ^ 1 of the forward sketch of j's parity; Z_j is the
-    # (sigma, j) block of (Psi^-/+)^T A^(l): the left sketch of the parity
-    # opposite to j, sigma keyed by row j ^ 1, whose Gaussian block is Psi_j.
-    swap = np.arange(d) ^ 1
-    Y = _gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R)
-    Z = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), left.cols[swap], s_L)
-    Z = Z.swapaxes(-1, -2)
-    Psi = _pairs(left.gaussian_blocks)[:, ::-1]
+    sk_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
+    sk_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
+    Y = _gather(sk_plus, sk_minus, np.arange(d) ^ 1, right.cols, config.s_R)
     if debug is not None:
-        for j, Y_j in enumerate(Y.reshape(d, -1, s_R)):
+        for j, Y_j in enumerate(Y.reshape(d, -1, config.s_R)):
             debug.check_sketch_noise(d, j, right.cols[j], Y_j, right)
+    return Y
+
+
+def _transpose_sketch(op, recovered, plus, minus, cols, s):
+    """Left sketches Z_j of a level's blocks as a (d/2, 2, s, m) stack.
+
+    Z_j is the (sigma, j) block of (Psi^-/+)^T A^(l): the transpose residual
+    sketch of the parity opposite to j, with sigma the column group ``cols``
+    gives row block j ^ 1, whose sketch block is Psi_j."""
+    d = len(cols)
+    sk_plus = residual_sketch(op, recovered, plus, linops.TRANSPOSE)
+    sk_minus = residual_sketch(op, recovered, minus, linops.TRANSPOSE)
+    Z = _gather(sk_minus, sk_plus, np.arange(d), cols[np.arange(d) ^ 1], s)
+    return Z.swapaxes(-1, -2)
+
+
+def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
+    """Generalized Nystrom right factors: a sketched regression of every
+    block against an independent perforated left family.  Returns the
+    stacked factors and whether every regression residual is small (True
+    when ``structure_check`` is off)."""
+    left = sketch.sample_rand_perf_gaussian(
+        op.n, 1 << ell, config.s_L, config.t_L, (config.seed, ell, ROLE_LEFT)
+    )
+    Z = _transpose_sketch(
+        op, recovered, left.assembled_plus, left.assembled_minus, left.cols, config.s_L
+    )
+    Psi = _pairs(left.gaussian_blocks)[:, ::-1]
     stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
     ok = not structure_check or _regression_residual_ok(
         Psi.swapaxes(-1, -2) @ stack.Q, stack.X, Z
@@ -336,7 +341,66 @@ def _gn_level(op, recovered, config, ell, truncate, debug, structure_check):
     return stack, ok
 
 
-def gn_peel(
+def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
+    """Randomized-SVD right factors: bases from the range sketches, then a
+    projection sketch built by stacking the bases themselves.  The
+    projection is not a regression, so it gives no structure signal."""
+    d, s_R = 1 << ell, config.s_R
+    bases = lowrank.orth(Y)
+    # Block row i carries the basis recovered for the off-diagonal block
+    # living in that row (its partner's), zero-padded to width s_R so the
+    # transpose cost is the same at every level.
+    stacked = np.zeros(Y.shape)
+    stacked[..., : bases.shape[-1]] = bases[:, ::-1]
+    stacked = stacked.reshape(op.n, s_R)
+    zetas = sketch.sample_perf_countsketch(d, config.t_L, (config.seed, ell, ROLE_LEFT))
+    plus, minus = (sketch.bullet(zeta.entries, stacked) for zeta in zetas)
+    # Both selectors share one draw, so either one's cols keys both parities.
+    X = _transpose_sketch(op, recovered, plus, minus, zetas[0].cols, s_R)
+    return _project_truncate(bases, X, config.k if truncate else None), True
+
+
+def _project_truncate(Q, X_padded, k):
+    """Factor Q_pad [[X]]_k for a level's stack of bases Q (..., m, r) and
+    projections X (..., s_R, m), whose rows beyond each basis' rank hit
+    zero-padded columns; re-orthonormalized so the stored factors keep the
+    Q X form.  ``k=None`` keeps every direction."""
+    U, s, Vt = np.linalg.svd(X_padded, full_matrices=False)
+    keep = s.shape[-1] if k is None else min(k, s.shape[-1])
+    Qraw = Q @ U[..., : Q.shape[-1], :keep]
+    Qn = lowrank.orth(Qraw)
+    Xn = (Qn.swapaxes(-1, -2) @ Qraw) @ (s[..., :keep, None] * Vt[..., :keep, :])
+    return lowrank.LowRankFactors(Q=Qn, X=Xn, ranks=lowrank.column_ranks(Qn))
+
+
+def _gn_leaf_sketch(config, n, L):
+    """Unperforated sum of one more perforated Gaussian family, its column
+    groups and its (d/2, 2, s_L, m) stack of transposed blocks."""
+    fam = sketch.sample_rand_perf_gaussian(
+        n, 1 << L, config.s_L, config.t_L, (config.seed, L + 1, ROLE_DIAG)
+    )
+    psi_t = _pairs(fam.gaussian_blocks).swapaxes(-1, -2)
+    return fam.assembled_plus + fam.assembled_minus, fam.cols, psi_t
+
+
+def _rsvd_leaf_sketch(config, n, L):
+    """Stacked identity, zero-padded to width s_R, under a count sketch; its
+    column groups and the (s_R, m) padded identity every leaf shares."""
+    d, m = 1 << L, n >> L
+    zeta = sketch.sample_countsketch(d, config.t_L, (config.seed, L + 1, ROLE_DIAG))
+    pad_eye = np.zeros((m, config.s_R))
+    pad_eye[:, :m] = np.eye(m)
+    return sketch.bullet(zeta.entries, np.tile(pad_eye, (d, 1))), zeta.cols, pad_eye.T
+
+
+# variant -> (per-level right-factor step, leaf sketch)
+_VARIANTS = {
+    GENERALIZED_NYSTROM: (_gn_step, _gn_leaf_sketch),
+    RSVD: (_rsvd_step, _rsvd_leaf_sketch),
+}
+
+
+def run_peel(
     op,
     config: PeelConfig,
     *,
@@ -345,13 +409,19 @@ def gn_peel(
     structure_check=False,
     allow_invalid=False,
 ):
-    """Generalized Nystrom peeling.  Returns (HodlrMatrix, PeelReport)."""
-    if config.variant != GENERALIZED_NYSTROM:
-        raise ConfigError(f"gn_peel got variant {config.variant!r}")
-    _validate(op, config, allow_invalid)
-    n, k, seed = op.n, config.k, config.seed
-    L = hodlr.level_count(n, k)
-    s_L, t_L = config.s_L, config.t_L
+    """Peel ``op`` with the variant ``config.variant``; returns (HodlrMatrix,
+    PeelReport).  ``truncate=False`` keeps full sketch-rank factors,
+    ``dense_reference`` (a dense copy of ``op``) turns on ``_DenseDebug``,
+    ``structure_check`` raises StructureViolationError on a regression
+    residual and ``allow_invalid`` skips guarantee validation."""
+    n, k = op.n, config.k
+    L = hodlr.level_count(n, k)  # rejects incompatible (n, k)
+    violations = config.theory_violations()
+    if violations and not allow_invalid:
+        raise ConfigError(
+            "config fails guarantee validation: " + "; ".join(violations)
+        )
+    level_step, leaf_sketch = _VARIANTS[config.variant]
     debug = _DenseDebug(dense_reference) if dense_reference is not None else None
     report = PeelReport(variant=config.variant)
     t_start = time.perf_counter()
@@ -361,7 +431,8 @@ def gn_peel(
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
         f0, r0 = op.counter.snapshot()
-        stack, ok = _gn_level(op, recovered, config, ell, truncate, debug, structure_check)
+        Y = _range_sketch(op, recovered, config, ell, debug)
+        stack, ok = level_step(op, recovered, config, ell, Y, truncate, structure_check)
         structure_ok = structure_ok and ok
         factors = stack.unstack()
         recovered.append(hodlr.LevelContribution(level=ell, factors=factors))
@@ -371,17 +442,14 @@ def gn_peel(
             LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0, err)
         )
 
-    # Leaf diagonals from the unperforated sum of one more perforated family.
+    # Leaf diagonals: one more transpose sketch, solved block by block.  Its
+    # width is s_L for either variant (rsvd has s_L = s_R).
     t0 = time.perf_counter()
     f0, r0 = op.counter.snapshot()
     d = 1 << L
-    fam = sketch.sample_rand_perf_gaussian(
-        n, d, s_L, t_L, (seed, L + 1, ROLE_DIAG)
-    )
-    psi_hat = fam.assembled_plus + fam.assembled_minus
+    psi_hat, cols, psi_t = leaf_sketch(config, n, L)
     sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    Z = _gather(sk_diag, sk_diag, np.arange(d), fam.cols, s_L).swapaxes(-1, -2)
-    psi_t = _pairs(fam.gaussian_blocks).swapaxes(-1, -2)
+    Z = _gather(sk_diag, sk_diag, np.arange(d), cols, config.s_L).swapaxes(-1, -2)
     leaves = lowrank.pinv_solve(psi_t, Z)
     if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
         structure_ok = False
@@ -398,108 +466,6 @@ def gn_peel(
             "sketched regression residual exceeded tolerance: operator is not HODLR(k)"
         )
     return H, report
-
-
-def _rsvd_level(op, recovered, config, ell, truncate):
-    """Sketch the residual at level ``ell`` and factor its 2^ell blocks with
-    stacked calls: bases from the range sketches, then a projection sketch
-    built from the bases.  Returns the stacked factors."""
-    n, seed, s_R = op.n, config.seed, config.s_R
-    d = 1 << ell
-    m = n >> ell
-    right = sketch.sample_rand_perf_gaussian(
-        n, d, s_R, config.t_R, (seed, ell, ROLE_RIGHT)
-    )
-    sk_fwd_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
-    sk_fwd_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
-    swap = np.arange(d) ^ 1
-    bases = lowrank.orth(_gather(sk_fwd_plus, sk_fwd_minus, swap, right.cols, s_R))
-    # Projection sketch: block row i carries the basis recovered for the
-    # off-diagonal block living in that row (its partner's), zero-padded to
-    # width s_R so the transpose cost is the same at every level.
-    stacked = np.zeros((d // 2, 2, m, s_R))
-    stacked[..., : bases.shape[-1]] = bases[:, ::-1]
-    stacked = stacked.reshape(n, s_R)
-    zeta_plus, zeta_minus = sketch.sample_perf_countsketch(
-        d, config.t_L, (seed, ell, ROLE_LEFT)
-    )
-    psi_plus = sketch.bullet(zeta_plus.entries, stacked)
-    psi_minus = sketch.bullet(zeta_minus.entries, stacked)
-    sk_tsp_plus = residual_sketch(op, recovered, psi_plus, linops.TRANSPOSE)
-    sk_tsp_minus = residual_sketch(op, recovered, psi_minus, linops.TRANSPOSE)
-    # Both selectors share one draw, so zeta_plus.cols keys either parity.
-    X = _gather(sk_tsp_minus, sk_tsp_plus, np.arange(d), zeta_plus.cols[swap], s_R)
-    return _project_truncate(bases, X.swapaxes(-1, -2), config.k if truncate else None)
-
-
-def rsvd_peel(
-    op,
-    config: PeelConfig,
-    *,
-    truncate=True,
-    allow_invalid=False,
-):
-    """Randomized-SVD peeling with perforated projection sketches built from
-    the recovered bases.  Returns (HodlrMatrix, PeelReport)."""
-    if config.variant != RSVD:
-        raise ConfigError(f"rsvd_peel got variant {config.variant!r}")
-    _validate(op, config, allow_invalid)
-    n, k, seed = op.n, config.k, config.seed
-    L = hodlr.level_count(n, k)
-    s_R, t_L = config.s_R, config.t_L
-    report = PeelReport(variant=config.variant)
-    t_start = time.perf_counter()
-    recovered = []
-
-    for ell in range(1, L + 1):
-        t0 = time.perf_counter()
-        f0, r0 = op.counter.snapshot()
-        stack = _rsvd_level(op, recovered, config, ell, truncate)
-        factors = stack.unstack()
-        recovered.append(hodlr.LevelContribution(level=ell, factors=factors))
-        f1, r1 = op.counter.snapshot()
-        report.levels.append(LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0))
-
-    # Leaf diagonals: stacked-identity sketch, padded to width s_R.
-    t0 = time.perf_counter()
-    f0, r0 = op.counter.snapshot()
-    d = 1 << L
-    m = n >> L
-    zeta = sketch.sample_countsketch(d, t_L, (seed, L + 1, ROLE_DIAG))
-    pad_eye = np.zeros((m, s_R))
-    pad_eye[:, :m] = np.eye(m)
-    psi_hat = sketch.bullet(zeta.entries, np.tile(pad_eye, (d, 1)))
-    sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    Z = _gather(sk_diag, sk_diag, np.arange(d), zeta.cols, s_R).swapaxes(-1, -2)
-    leaves = list(lowrank.pinv_solve(pad_eye.T, Z).reshape(d, m, m))
-    f1, r1 = op.counter.snapshot()
-    report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
-
-    H = hodlr.assemble(recovered, leaves, n=n, k=k, check_rank=truncate)
-    report.forward_total = sum(s.forward for s in report.levels)
-    report.transpose_total = sum(s.transpose for s in report.levels)
-    report.seconds = time.perf_counter() - t_start
-    return H, report
-
-
-def _project_truncate(Q, X_padded, k):
-    """Factor Q_pad [[X]]_k for a level's stack of bases Q (..., m, r) and
-    projections X (..., s_R, m), whose rows beyond each basis' rank hit
-    zero-padded columns; re-orthonormalized so the stored factors keep the
-    Q X form.  ``k=None`` keeps every direction."""
-    U, s, Vt = np.linalg.svd(X_padded, full_matrices=False)
-    keep = s.shape[-1] if k is None else min(k, s.shape[-1])
-    Qraw = Q @ U[..., : Q.shape[-1], :keep]
-    Qn = lowrank.orth(Qraw)
-    Xn = (Qn.swapaxes(-1, -2) @ Qraw) @ (s[..., :keep, None] * Vt[..., :keep, :])
-    return lowrank.LowRankFactors(Q=Qn, X=Xn, ranks=lowrank.column_ranks(Qn))
-
-
-def run_peel(op, config, **kw):
-    """Dispatch on config.variant."""
-    if config.variant == GENERALIZED_NYSTROM:
-        return gn_peel(op, config, **kw)
-    return rsvd_peel(op, config, **kw)
 
 
 def exact_config(k, variant=GENERALIZED_NYSTROM, seed=0) -> PeelConfig:
@@ -524,7 +490,7 @@ def exact_recover(op, k, seed=0):
     reach (up to about 4e-6 at n = 2048, k = 8).
     """
     config = exact_config(k, seed=seed)
-    H, report = gn_peel(op, config, structure_check=True)
+    H, report = run_peel(op, config, structure_check=True)
     g = stream(seed, ROLE_CHECK).standard_normal((op.n, 1))
     ref = op.apply(g, linops.FORWARD)
     resid = ref - hodlr.hodlr_apply(H, g, side="forward")

@@ -5,7 +5,6 @@ import pytest
 
 from hodlrpeel import bench, peel
 from hodlrpeel.bench import (
-    ExperimentResult,
     emit,
     load_config,
     preset_config,
@@ -63,9 +62,9 @@ def test_preset_rejects_unknown_name():
 # experiments ----------------------------------------------------------------------
 
 def test_recovery_experiment_rows():
-    res = run_experiment("recovery", {"n": [128], "k": [2]}, trials=3, seed=0)
-    assert len(res.rows) == 6  # two variants x three trials
-    for row in res.rows:
+    rows = run_experiment("recovery", {"n": [128], "k": [2]}, trials=3, seed=0)
+    assert len(rows) == 6  # two variants x three trials
+    for row in rows:
         assert row.experiment == "recovery"
         # minimal forward budget s_R = k; GN regresses against s_L = 2k + 2
         s_L = 6 if row.preset == peel.GENERALIZED_NYSTROM else 2
@@ -79,12 +78,12 @@ def test_recovery_experiment_rows():
 
 
 def test_hard_block_experiment_counts_and_errors():
-    res = run_experiment(
+    rows = run_experiment(
         "hard_block", {"k": [1], "beta": [0.25], "preset": ["RSVD1"]},
         trials=4, seed=1,
     )
-    assert len(res.rows) == 4
-    for row in res.rows:
+    assert len(rows) == 4
+    for row in rows:
         cfg = preset_config("RSVD1", 1, 0.25)
         fwd, tsp = peel.expected_queries(cfg, row.n)
         assert (row.forward_queries, row.transpose_queries) == (fwd, tsp)
@@ -93,34 +92,34 @@ def test_hard_block_experiment_counts_and_errors():
 
 
 def test_exp_hard_experiment_increases_with_n():
-    res = run_experiment(
+    rows = run_experiment(
         "exp_hard", {"n": [16, 64, 256], "preset": ["RSVD1"]}, trials=4, seed=2
     )
     means = {}
-    for row in res.rows:
+    for row in rows:
         means.setdefault(row.n, []).append(row.relative_error)
     vals = [np.mean(means[n]) for n in (16, 64, 256)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_poisson_experiment_small_grid():
-    res = run_experiment(
+    rows = run_experiment(
         "poisson", {"t": [8], "k": [2], "beta": [0.5], "preset": ["GN1"]},
         trials=2, seed=3,
     )
-    assert len(res.rows) == 2
-    for row in res.rows:
+    assert len(rows) == 2
+    for row in rows:
         assert row.n == 64
         assert row.relative_error >= 0.0
 
 
 def test_kernel_experiment_monotone_in_rank():
-    res = run_experiment(
+    rows = run_experiment(
         "kernel", {"n": [256], "k": [2, 4, 6, 8], "beta": [0.25], "preset": ["GN1"]},
         trials=5, seed=4,
     )
     cells = {}
-    for row in res.rows:
+    for row in rows:
         cells.setdefault(row.k, []).append(row.absolute_error)
     for k in (4, 8):
         hi = np.array(cells[k])
@@ -133,13 +132,20 @@ def test_kernel_experiment_monotone_in_rank():
 def test_bound_checks_experiment_all_pass():
     checks = bench.bound_checks(seed=0, trials={"pointwise": 60, "expectation": 200, "moment": 4000})
     assert all(c.passed for c in checks)
-    res = run_experiment("bound_checks", trials={"pointwise": 30, "expectation": 100, "moment": 2000}, seed=0)
-    assert len(res.rows) == 3
-    assert {r.preset for r in res.rows} == {
+    rows = run_experiment("bound_checks", trials={"pointwise": 30, "expectation": 100, "moment": 2000}, seed=0)
+    assert len(rows) == 3
+    assert {r.preset for r in rows} == {
         "projection_perturbation_pointwise",
         "gn_expected_error_bound",
         "gaussian_pinv_second_moment",
     }
+    assert [r.trial for r in rows] == [30, 100, 2000]
+
+
+def test_bound_checks_reject_one_trial_count_for_all():
+    # each check has its own default count, so one int cannot say which
+    with pytest.raises(ValueError):
+        run_experiment("bound_checks", trials=5)
 
 
 def test_unknown_experiment_rejected():
@@ -149,21 +155,19 @@ def test_unknown_experiment_rejected():
 
 # output --------------------------------------------------------------------------
 
-def sample_result():
-    res = ExperimentResult()
-    res.rows.append(
+def sample_rows():
+    return [
         bench.ExperimentRow(
             experiment="poisson", preset="GN1", n=64, k=2, beta=0.5, trial=0,
             relative_error=1.0 / 3.0, absolute_error=0.125,
             forward_queries=10, transpose_queries=20, seed=7,
         )
-    )
-    return res
+    ]
 
 
 def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    emit(ExperimentResult(), path)
+    emit([], path)
     assert path.read_text() == ",".join(bench.RESULT_COLUMNS) + "\n"
 
 
@@ -171,7 +175,7 @@ def test_emit_csv_roundtrip_lossless(tmp_path):
     import csv
 
     path = tmp_path / "one.csv"
-    emit(sample_result(), path)
+    emit(sample_rows(), path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
@@ -191,10 +195,10 @@ def test_emit_csv_deterministic_bytes(tmp_path):
 
 def test_emit_plotdata_groups_curves(tmp_path):
     outdir = tmp_path / "series"
-    res = run_experiment(
+    rows = run_experiment(
         "exp_hard", {"n": [16, 32], "preset": ["RSVD1", "GN2"]}, trials=2, seed=5
     )
-    emit(res, outdir, fmt="plotdata")
+    emit(rows, outdir, fmt="plotdata")
     files = sorted(p.name for p in outdir.iterdir())
     assert files == ["exp_hard__GN2__k1.csv", "exp_hard__RSVD1__k1.csv"]
     text = (outdir / files[0]).read_text().splitlines()

@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hodlrpeel import hodlr, linops
 from hodlrpeel.rng import stream
@@ -88,6 +89,30 @@ def test_bench_writes_csv_and_stamp(tmp_path):
     assert header.startswith("experiment,preset,n,k,beta,trial,relative_error")
     stamp = (tmp_path / "rec.csv.config").read_text()
     assert "[recovery]" in stamp and "seed = 5" in stamp
+
+
+@pytest.mark.parametrize("experiment, message", [
+    ("poisson", "poisson dimension must be a square, got 1000"),
+    ("exp_hard", "exp-hard dimension must be a power of two, got 1000"),
+])
+def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, experiment, message):
+    # no such operator exists, and a nearby n would not be the n the stamp records
+    out = tmp_path / "x.csv"
+    r = run_cli("bench", experiment, "--n", "1000", "--trials", "1", "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.strip() == f"hodlrpeel: error: {message}"
+    assert not out.exists()
+
+
+def test_bench_bound_checks_trials_is_a_usage_error(tmp_path):
+    # each check has its own trial count, so one count would go unused
+    out = tmp_path / "b.csv"
+    r = run_cli("bench", "bound_checks", "--trials", "5", "--out", str(out))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("hodlrpeel: error: --trials")
+    assert not out.exists()
 
 
 def test_bench_csv_byte_identical_reruns(tmp_path):

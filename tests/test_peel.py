@@ -10,7 +10,6 @@ from hodlrpeel.peel import (
     StructureViolationError,
     exact_recover,
     expected_queries,
-    gn_peel,
     params_for_beta,
     residual_sketch,
     run_peel,
@@ -96,8 +95,8 @@ def test_invalid_config_rejected_unless_allowed():
     op, _ = hodlr_operator(32, 2, (0,))
     bad = PeelConfig(k=2, s_R=2, s_L=2, beta=0.5)
     with pytest.raises(ConfigError):
-        gn_peel(op, bad)
-    gn_peel(op, bad, allow_invalid=True)
+        run_peel(op, bad)
+    run_peel(op, bad, allow_invalid=True)
 
 
 # Exact recovery ----------------------------------------------------------------
@@ -324,16 +323,31 @@ def test_counter_untouched_by_recovered_level_products():
 
 # Debug-mode diagnostics ------------------------------------------------------------
 
-def test_dense_debug_checks_noise_structure_and_level_errors():
+@pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
+def test_dense_debug_checks_noise_structure_and_level_errors(variant):
     rng = stream(19, 0)
     H = hodlr.random_hodlr(64, 2, rng)
     A = H.to_dense() + 0.05 * rng.standard_normal((64, 64))
     op = linops.make_dense_operator(A)
-    cfg = PeelConfig(k=2, s_R=4, t_R=2, s_L=8, t_L=2, seed=5)
+    s_L = 8 if variant == GENERALIZED_NYSTROM else 4
+    cfg = PeelConfig(k=2, s_R=4, t_R=2, s_L=s_L, t_L=2, variant=variant, seed=5)
     _, report = run_peel(op, cfg, dense_reference=A)
     errs = [s.error for s in report.levels if s.error is not None]
     assert len(errs) == hodlr.level_count(64, 2)
     assert all(e >= 0 for e in errs)
+
+
+@pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
+def test_run_peel_takes_every_keyword_for_either_variant(variant):
+    op, A = hodlr_operator(64, 2, (9,))
+    cfg = peel.exact_config(2, variant, seed=3)
+    H, report = run_peel(
+        op, cfg, truncate=False, dense_reference=A, structure_check=True,
+        allow_invalid=True,
+    )
+    assert (report.forward_total, report.transpose_total) == expected_queries(cfg, 64)
+    assert all(s.error is not None for s in report.levels[:-1])
+    assert np.linalg.norm(A - H.to_dense()) <= 1e-6 * np.linalg.norm(A)
 
 
 # exact_recover ---------------------------------------------------------------------
