@@ -8,7 +8,6 @@ error-bound checks.
 
 from .hodlr import (
     HodlrMatrix,
-    LevelContribution,
     assemble,
     best_hodlr,
     hodlr_apply,

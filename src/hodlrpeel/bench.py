@@ -22,6 +22,10 @@ PRESET_NAMES = ("GN1", "GN2", "RSVD1", "RSVD2")
 
 EXPERIMENTS = ("poisson", "kernel", "hard_block", "exp_hard", "recovery", "bound_checks")
 
+# Default (n, k) grid of the recovery experiment.
+RECOVERY_NS = (128, 256)
+RECOVERY_KS = (2, 4)
+
 RESULT_COLUMNS = (
     "experiment",
     "preset",
@@ -241,8 +245,8 @@ def _exp_hard_rows(grid, trials, seed):
 
 def _recovery_rows(grid, trials, seed):
     trials = trials or 5
-    ns = grid.get("n", [128, 256])
-    ks = grid.get("k", [2, 4])
+    ns = grid.get("n", RECOVERY_NS)
+    ks = grid.get("k", RECOVERY_KS)
     variants = grid.get("variant", [peel.GENERALIZED_NYSTROM, peel.RSVD])
     rows, cell = [], 0
     for n in ns:

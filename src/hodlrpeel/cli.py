@@ -154,6 +154,8 @@ def _float_list(text):
 def _cmd_bench(args):
     if args.experiment == "bound_checks" and args.trials is not None:
         _usage_error("--trials does not apply to bound_checks: each check has its own count")
+    if args.experiment == "hard_block" and args.n:
+        _usage_error("--n does not apply to hard_block: the instance fixes n = 8k")
     grid = {}
     if args.n:
         grid["n"] = _int_list(args.n)
@@ -164,6 +166,13 @@ def _cmd_bench(args):
                 _exp_hard_levels(n)
     if args.k:
         grid["k"] = _int_list(args.k)
+    if args.experiment == "recovery":
+        for n in grid.get("n", bench.RECOVERY_NS):
+            for k in grid.get("k", bench.RECOVERY_KS):
+                try:
+                    hodlr.level_count(n, k)
+                except hodlr.StructureError as exc:
+                    _usage_error(f"recovery at n={n}, k={k}: {exc}")
     if args.beta:
         grid["beta"] = _float_list(args.beta)
     if args.preset:

@@ -3,19 +3,24 @@
 A HodlrMatrix stores, per level l = 1..L, the 2^l off-diagonal low-rank
 factors of the 2^l x 2^l block partition (factor j lives in block
 (partner(j), j), sub-diagonal for odd j and super-diagonal for even j,
-1-based), plus 2^L dense leaf diagonal blocks.  Level placements are disjoint,
-so the dense expansion is the plain sum of the level matrices.
+1-based) as one stack, plus the 2^L dense leaf diagonal blocks as one
+(2^L, m, m) array.  Level placements are disjoint, so the dense expansion is
+the plain sum of the level matrices.
+
+The stack of level l is a ``LowRankFactors`` with Q (2^l, n/2^l, r),
+X (2^l, r, n/2^l) and ranks (2^l,): C-contiguous, r the largest rank of the
+level, and zero past each block's rank.  Peeling recovers a level in this
+form, and the fast product, dense expansion and serialization use it as is.
 """
 
 import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .lowrank import LowRankFactors
+from .lowrank import LowRankFactors, orth
 
 DENSE_GUARD = 8192
 
@@ -58,76 +63,62 @@ def level_count(n: int, k: int) -> int:
     return L
 
 
-@dataclass
-class LevelContribution:
-    """Factors recovered for one level: factors[j] targets block
-    (partner(j), j) of the 2^level partition (0-based j)."""
-
-    level: int
-    factors: list
-
-    @cached_property
-    def stacked(self):
-        """Padded level tensors for ``apply_contributions``, built on first
-        use; the factors must not change after that."""
-        return _stack_level(self.factors)
+def block_grid(A, level, flip):
+    """A as its 2^level x 2^level grid of blocks, and the index that picks
+    blocks (j ^ flip, j) of the grid as a (2^level, m, m) stack: the
+    level's off-diagonal blocks for flip = 1, the diagonal for flip = 0."""
+    d = 1 << level
+    j = np.arange(d)
+    grid = A.reshape(d, A.shape[0] // d, d, A.shape[1] // d)
+    return grid, (j ^ flip, slice(None), j, slice(None))
 
 
 @dataclass
 class HodlrMatrix:
-    """A HODLR(k) matrix.  Treated as immutable once built by ``assemble`` or
-    ``from_bytes``, because ``hodlr_apply`` caches its stacked tensors."""
+    """A HODLR(k) matrix: ``stacks[l-1]`` is the stack of level l and
+    ``leaves`` the (2^L, m, m) leaf diagonal blocks."""
 
     n: int
     k: int
-    levels: list = field(default_factory=list)   # levels[l-1] = list of LowRankFactors
-    leaves: list = field(default_factory=list)   # 2^L dense blocks
+    stacks: list = field(default_factory=list)
+    leaves: np.ndarray = None
 
     @property
     def L(self) -> int:
-        return len(self.levels)
+        return len(self.stacks)
 
-    @cached_property
-    def stacked(self):
-        """(per-level ``_stack_level`` tensors, leaves stacked (2^L, m, m)),
-        built on the first ``hodlr_apply``.  Not a dataclass field, so
-        ``==``, ``repr`` and ``to_bytes`` ignore it."""
-        return [_stack_level(f) for f in self.levels], np.stack(self.leaves)
-
-    def block_size(self, level: int) -> int:
-        return self.n >> level
+    @property
+    def levels(self) -> list:
+        """levels[l-1][j]: block j of level l, a view into its stack."""
+        return [stack.factors for stack in self.stacks]
 
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_GUARD:
             raise StructureError(f"refusing dense expansion at n={self.n} > {DENSE_GUARD}")
         A = np.zeros((self.n, self.n))
-        for ell, factors in enumerate(self.levels, start=1):
-            m = self.block_size(ell)
-            for j, f in enumerate(factors):
-                r = partner(j)
-                A[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
-        m = self.n >> self.L
-        for j, leaf in enumerate(self.leaves):
-            A[j * m:(j + 1) * m, j * m:(j + 1) * m] = leaf
+        for ell, stack in enumerate(self.stacks, start=1):
+            grid, index = block_grid(A, ell, 1)
+            grid[index] = stack.dense()
+        grid, index = block_grid(A, self.L, 0)
+        grid[index] = self.leaves
         return A
 
 
-def assemble(contribs, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
-    """Assemble level contributions and leaf diagonals into a HodlrMatrix.
+def assemble(stacks, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
+    """Assemble level stacks and leaf diagonals into a HodlrMatrix.
 
-    Exactly one contribution per level 1..L is required, with 2^l factors of
-    the right shapes.  ``check_rank=False`` admits factors above rank k
-    (untruncated peeling output, which carries no HODLR(k) certificate).
+    ``stacks[l-1]`` must be the stack of level l (see the module docstring),
+    for exactly the levels 1..L, and ``leaves`` the (2^L, m, m) leaf blocks.
+    ``check_rank=False`` admits ranks above k (untruncated peeling output,
+    which carries no HODLR(k) certificate).
     """
-    contribs = sorted(contribs, key=lambda c: c.level)
-    if not leaves:
-        raise StructureError("need leaf diagonal blocks")
-    leaves = [np.asarray(b, dtype=float) for b in leaves]
-    n_leaves = len(leaves)
+    leaves = np.ascontiguousarray(leaves, dtype=float)
+    if leaves.ndim != 3 or not leaves.size or leaves.shape[1] != leaves.shape[2]:
+        raise StructureError(f"need a (2^L, m, m) stack of leaf blocks, got {leaves.shape}")
+    n_leaves, n_base = leaves.shape[:2]
     if n_leaves & (n_leaves - 1):
         raise StructureError(f"leaf count {n_leaves} is not a power of two")
     L = n_leaves.bit_length() - 1
-    n_base = leaves[0].shape[0]
     inferred_n = n_base * n_leaves
     if n is None:
         n = inferred_n
@@ -137,30 +128,26 @@ def assemble(contribs, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatri
         raise StructureError(f"leaves imply n={inferred_n}, expected {n}")
     if level_count(n, k) != L:
         raise StructureError(f"{L} levels inconsistent with (n={n}, k={k})")
-    if [c.level for c in contribs] != list(range(1, L + 1)):
-        raise StructureError("need exactly one contribution per level 1..L")
-    levels = []
-    for c in contribs:
-        m = n >> c.level
-        if len(c.factors) != (1 << c.level):
+    if len(stacks) != L:
+        raise StructureError(f"need exactly one stack per level 1..{L}, got {len(stacks)}")
+    for ell, stack in enumerate(stacks, start=1):
+        d, m, r = 1 << ell, n >> ell, stack.rank
+        ranks = np.asarray(stack.ranks)
+        if stack.Q.shape != (d, m, r) or stack.X.shape != (d, r, m) or ranks.shape != (d,):
             raise StructureError(
-                f"level {c.level} needs {1 << c.level} factors, got {len(c.factors)}"
+                f"level {ell}: stack shapes {stack.Q.shape} x {stack.X.shape} with"
+                f" ranks {ranks.shape} do not fit {d} blocks of size {m}"
             )
-        for j, f in enumerate(c.factors):
-            if f.Q.shape[0] != m or f.X.shape[1] != m or f.Q.shape[1] != f.X.shape[0]:
-                raise StructureError(
-                    f"level {c.level} block {j}: factor shapes {f.Q.shape} x {f.X.shape}"
-                    f" do not fit block size {m}"
-                )
-            if check_rank and f.rank > k:
-                raise StructureError(
-                    f"level {c.level} block {j}: rank {f.rank} exceeds k={k}"
-                )
-        levels.append(list(c.factors))
-    for j, b in enumerate(leaves):
-        if b.shape != (n_base, n_base):
-            raise StructureError(f"leaf {j} has shape {b.shape}, expected {(n_base, n_base)}")
-    return HodlrMatrix(n=n, k=k, levels=levels, leaves=leaves)
+        if np.any((ranks < 0) | (ranks > r)):
+            raise StructureError(f"level {ell}: ranks outside [0, {r}], the stack width")
+        pad = np.arange(r) >= ranks[:, None]
+        if pad.any() and (np.where(pad[:, None, :], stack.Q, 0.0).any()
+                          or np.where(pad[:, :, None], stack.X, 0.0).any()):
+            raise StructureError(f"level {ell}: nonzero padding past a block's rank")
+        if check_rank and np.any(ranks > k):
+            j = int(np.argmax(ranks > k))
+            raise StructureError(f"level {ell} block {j}: rank {ranks[j]} exceeds k={k}")
+    return HodlrMatrix(n=n, k=k, stacks=list(stacks), leaves=leaves)
 
 
 class FlopCounter:
@@ -173,36 +160,20 @@ class FlopCounter:
         self.flops += 2 * a * b * c
 
 
-def _stack_level(factors):
-    """Zero-padded stacked factors of one level: Q tensors (d, m, r) and X
-    tensors (d, r, m), r the largest rank; None when every rank is zero."""
-    d = len(factors)
-    m = factors[0].Q.shape[0]
-    r = max(f.rank for f in factors)
-    if r == 0:
-        return None
-    Qs = np.zeros((d, m, r))
-    Xs = np.zeros((d, r, m))
-    for j, f in enumerate(factors):
-        Qs[j, :, : f.rank] = f.Q
-        Xs[j, : f.rank, :] = f.X
-    return Qs, Xs
-
-
 def _apply_levels(stacks, X, out, side, counter):
-    """Add the product of each stacked level (``_stack_level`` output) with
-    the (n, w) block X into ``out`` in place.  Both must be C-contiguous, so
-    that their per-level (d, m, w) reshapes are views.
+    """Add the product of each level stack with the (n, w) block X into
+    ``out`` in place.  Both must be C-contiguous, so that their per-level
+    (d, m, w) reshapes are views.
 
     Forward, factor j maps column block j into row block partner(j) = j ^ 1;
     transpose, it maps row block j ^ 1 back into column block j.
     """
     w = X.shape[1]
     for stack in stacks:
-        if stack is None:
-            continue
-        Qs, Xs = stack
+        Qs, Xs = stack.Q, stack.X
         d, m, r = Qs.shape
+        if r == 0:
+            continue
         Xb = X.reshape(d, m, w)
         acc = out.reshape(d, m, w)
         if side == "forward":
@@ -218,10 +189,10 @@ def _apply_levels(stacks, X, out, side, counter):
 
 
 def apply_contributions(contribs, X, side="forward", counter=None) -> np.ndarray:
-    """Product of the recovered levels in ``contribs`` with an (n, b) block."""
+    """Product of the recovered level stacks ``contribs`` with an (n, b) block."""
     X = np.ascontiguousarray(X, dtype=float)
     out = np.zeros_like(X)
-    _apply_levels([c.stacked for c in contribs], X, out, side, counter)
+    _apply_levels(contribs, X, out, side, counter)
     return out
 
 
@@ -233,7 +204,7 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
         X = X[:, None]
     if X.shape[0] != H.n:
         raise StructureError(f"expected {H.n} rows, got {X.shape[0]}")
-    stacks, leaves = H.stacked
+    leaves = H.leaves
     d, m, _ = leaves.shape
     w = X.shape[1]
     Xb = X.reshape(d, m, w)
@@ -241,75 +212,80 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     out = out.reshape(H.n, w)
     if counter is not None:
         counter.add(d * m, m, w)
-    _apply_levels(stacks, X, out, side, counter)
+    _apply_levels(H.stacks, X, out, side, counter)
     return out[:, 0] if squeeze else out
 
 
 def best_hodlr(A, k: int) -> HodlrMatrix:
-    """Frobenius-optimal HODLR(k) approximation of a dense matrix: per-block
-    truncated SVDs at every level and exact leaf diagonals."""
-    from .lowrank import truncated_svd
-
+    """Frobenius-optimal HODLR(k) approximation of a dense matrix: truncated
+    SVDs of every off-diagonal block, one stacked SVD per level, and exact
+    leaf diagonals."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise StructureError(f"need a square matrix, got {A.shape}")
     L = level_count(n, k)
-    contribs = []
+    stacks = []
     for ell in range(1, L + 1):
-        m = n >> ell
-        factors = []
-        for j in range(1 << ell):
-            r = partner(j)
-            block = A[r * m:(r + 1) * m, j * m:(j + 1) * m]
-            factors.append(truncated_svd(block, k))
-        contribs.append(LevelContribution(level=ell, factors=factors))
-    m = n >> L
-    leaves = [A[j * m:(j + 1) * m, j * m:(j + 1) * m].copy() for j in range(1 << L)]
-    return assemble(contribs, leaves, n=n, k=k)
+        grid, index = block_grid(A, ell, 1)
+        U, s, Vt = np.linalg.svd(grid[index], full_matrices=False)
+        r = min(k, s.shape[-1])
+        Q = np.ascontiguousarray(U[..., :r])
+        stacks.append(LowRankFactors(Q=Q, X=s[..., :r, None] * Vt[..., :r, :],
+                                     ranks=np.full(1 << ell, r)))
+    grid, index = block_grid(A, L, 0)
+    return assemble(stacks, grid[index], n=n, k=k)
 
 
 def random_hodlr(n, k, rng, leaf_scale=1.0) -> HodlrMatrix:
     """Random matrix that is exactly HODLR(k): Gaussian rank-k factors at
-    every off-diagonal block and Gaussian dense leaves."""
-    from .lowrank import orth as _orth
-
+    every off-diagonal block and Gaussian dense leaves.  Each block draws its
+    raw Q, then its X, in block order."""
     L = level_count(n, k)
-    contribs = []
+    stacks = []
     for ell in range(1, L + 1):
-        m = n >> ell
+        d, m = 1 << ell, n >> ell
         r = min(k, m)
-        factors = [
-            LowRankFactors(
-                Q=_orth(rng.standard_normal((m, r))),
-                X=rng.standard_normal((r, m)),
-            )
-            for _ in range(1 << ell)
-        ]
-        contribs.append(LevelContribution(level=ell, factors=factors))
+        draw = rng.standard_normal((d, 2 * m * r))
+        stacks.append(LowRankFactors(
+            Q=orth(draw[:, : m * r].reshape(d, m, r)),
+            X=np.ascontiguousarray(draw[:, m * r:].reshape(d, r, m)),
+            ranks=np.full(d, r),
+        ))
     m = n >> L
-    leaves = [leaf_scale * rng.standard_normal((m, m)) for _ in range(1 << L)]
-    return assemble(contribs, leaves, n=n, k=k)
+    return assemble(stacks, leaf_scale * rng.standard_normal((1 << L, m, m)), n=n, k=k)
 
 
 # Serialization: fixed header, per-block (index, rank, Q, X) records in level
 # order, leaf blocks, then a trailing 64-bit checksum (first 8 bytes of the
-# SHA-256 of everything before it, little-endian).
+# SHA-256 of everything before it, little-endian).  A record's (index, rank)
+# header is 8 bytes, like each entry of Q and X, so a level's records are a
+# run of 8-byte words.
+
+def _kept_words(ranks, m, r):
+    """Mask of the words a container keeps from a level's records padded to
+    (d, 1 + 2 m r) words: each block's (index, rank) header, and its Q and X
+    cut to its own rank."""
+    kept = np.arange(r) < np.asarray(ranks)[:, None]
+    ones = np.ones((len(kept), 1), dtype=bool)
+    return np.concatenate([ones, np.tile(kept, m), np.repeat(kept, m, axis=1)], axis=1)
+
 
 def to_bytes(H: HodlrMatrix) -> bytes:
-    # Each section (header, one level, the leaves) is joined straight from
-    # the arrays and hashed whole: the container is copied twice in all, and
-    # the hash is updated once per section, not once per (possibly tiny) array.
-    sections = [[MAGIC, struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]]
-    for factors in H.levels:
-        section = []
-        for j, f in enumerate(factors):
-            section.append(struct.pack("<II", j, f.rank))
-            section.append(np.ascontiguousarray(f.Q, dtype="<f8"))
-            section.append(np.ascontiguousarray(f.X, dtype="<f8"))
-        sections.append(section)
-    sections.append([np.ascontiguousarray(leaf, dtype="<f8") for leaf in H.leaves])
-    chunks = [b"".join(section) for section in sections]
+    # Each level's records are built as one array of words and hashed whole,
+    # so the hash is updated once per level, not once per (possibly tiny)
+    # block.  A level whose ranks differ is cut down to the kept words.
+    chunks = [MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]
+    for stack in H.stacks:
+        d, m, r = stack.Q.shape
+        words = np.empty((d, 1 + 2 * m * r), dtype="<f8")
+        words.view("<u4")[:, :2] = np.stack([np.arange(d), stack.ranks], axis=1)
+        words[:, 1 : 1 + m * r] = stack.Q.reshape(d, m * r)
+        words[:, 1 + m * r :] = stack.X.reshape(d, r * m)
+        if np.any(stack.ranks < r):
+            words = words[_kept_words(stack.ranks, m, r)]
+        chunks.append(words)
+    chunks.append(np.ascontiguousarray(H.leaves, dtype="<f8"))
     checksum = hashlib.sha256()
     for chunk in chunks:
         checksum.update(chunk)
@@ -321,7 +297,9 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
 
     Every header field is checked against the layout before it is used, and
     every read against the bytes left, so a damaged or lying container raises
-    only SerializationError.
+    only SerializationError.  Once a level's record headers are checked, its
+    blocks are copied from the buffer into the zero-padded stack by whole-level
+    array operations.
     """
     if len(buf) < len(MAGIC) + 20 + 8:
         raise SerializationError("truncated HODLR container")
@@ -342,18 +320,17 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
     if expected_L != L:
         raise SerializationError(f"header has L={L}, but (n={n}, k={k}) needs {expected_L}")
 
-    def take(count):
-        nonlocal off
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=off)
-        off += 8 * count
-        return arr.astype(float)
+    def words(start, *shape):
+        return np.frombuffer(
+            payload, dtype="<f8", count=math.prod(shape), offset=start
+        ).reshape(shape)
 
     size = len(payload)
-    levels = []
+    stacks = []
     for ell in range(1, L + 1):
-        m = n >> ell
-        factors = []
-        for j in range(1 << ell):
+        d, m = 1 << ell, n >> ell
+        start, ranks = off, []
+        for j in range(d):
             if off + 8 > size:
                 raise SerializationError(f"container ends before level {ell} block {j}")
             idx, r = struct.unpack_from("<II", payload, off)
@@ -366,17 +343,27 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
                 )
             if off + 16 * m * r > size:
                 raise SerializationError(f"container ends inside level {ell} block {j}")
-            Q = take(m * r).reshape(m, r)
-            X = take(r * m).reshape(r, m)
-            factors.append(LowRankFactors(Q=Q, X=X))
-        levels.append(factors)
+            ranks.append(r)
+            off += 16 * m * r
+        ranks = np.array(ranks)
+        r = ranks.max()
+        if ranks.min() == r:
+            padded = words(start, d, 1 + 2 * m * r)
+        else:
+            padded = np.zeros((d, 1 + 2 * m * r))
+            padded[_kept_words(ranks, m, r)] = words(start, (off - start) // 8)
+        stacks.append(LowRankFactors(
+            Q=np.ascontiguousarray(padded[:, 1 : 1 + m * r].reshape(d, m, r), dtype=float),
+            X=np.ascontiguousarray(padded[:, 1 + m * r :].reshape(d, r, m), dtype=float),
+            ranks=ranks,
+        ))
     m = n >> L
     if off + 8 * n * m > size:
         raise SerializationError("container ends inside the leaf blocks")
-    leaves = [take(m * m).reshape(m, m) for _ in range(1 << L)]
-    if off != size:
+    leaves = words(off, 1 << L, m, m).astype(float)
+    if off + 8 * n * m != size:
         raise SerializationError("trailing bytes in HODLR container")
-    return HodlrMatrix(n=n, k=k, levels=levels, leaves=leaves)
+    return HodlrMatrix(n=n, k=k, stacks=stacks, leaves=leaves)
 
 
 def save(H: HodlrMatrix, path) -> None:

@@ -9,8 +9,9 @@ the expected-error bound that certify them.
 single matrix or a stack with leading batch axes, through one code path
 for both, so that peeling factors all 2^l blocks of a level with one LAPACK
 call each.  Stacked factors are padded to the largest rank of the stack (see
-``LowRankFactors``).  Stacks may be strided views, such as the partner
-view of a level's Gaussian blocks; nothing here copies them.
+``LowRankFactors``); such a stack is also how a HODLR level is stored.
+Stacks may be strided views, such as the partner view of a level's Gaussian
+blocks; nothing here copies them.
 """
 
 from dataclasses import dataclass
@@ -33,9 +34,8 @@ class LowRankFactors:
 
     A stack of factorizations has Q (..., m, r) and X (..., r, w), with any
     leading batch axes, padded to the largest rank r: block b has rank
-    ``ranks[b]``, and the columns of Q[b] and rows of X[b] past it are
-    padding, which adds nothing to Q[b] @ X[b] beyond rounding.  ``unstack``
-    trims each block to its own rank.
+    ``ranks[b]``, and the columns of Q[b] and rows of X[b] past it are zero
+    padding.  ``factors`` gives the blocks one at a time.
     """
 
     Q: np.ndarray
@@ -49,17 +49,14 @@ class LowRankFactors:
     def dense(self) -> np.ndarray:
         return self.Q @ self.X
 
-    def unstack(self) -> list:
-        """The blocks of a stack, batch axes flattened in C order, each cut
-        to its own rank."""
-        ranks = self.ranks.ravel()
-        Q = self.Q.reshape(ranks.shape + self.Q.shape[-2:])
-        X = self.X.reshape(ranks.shape + self.X.shape[-2:])
-        width = Q.shape[-1]
-        return [
-            LowRankFactors(Q=q[:, :r], X=x[:r]) if r < width else LowRankFactors(Q=q, X=x)
-            for q, x, r in zip(Q, X, ranks.tolist())
-        ]
+    @property
+    def factors(self) -> list:
+        """The blocks of a stack, batch axes flattened in C order, each a
+        view into the stack cut to its own rank."""
+        ranks = np.ravel(self.ranks).tolist()
+        Q = self.Q.reshape((len(ranks),) + self.Q.shape[-2:])
+        X = self.X.reshape((len(ranks),) + self.X.shape[-2:])
+        return [LowRankFactors(Q=q[:, :r], X=x[:r]) for q, x, r in zip(Q, X, ranks)]
 
 
 def empty_factors(m1: int, m2: int) -> LowRankFactors:

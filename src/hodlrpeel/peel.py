@@ -20,7 +20,8 @@ ranks).
 Each level factors its 2^l blocks together: the blocks' sketches are
 gathered into (2^(l-1), 2, m, s) stacks of sibling pairs and go through one
 stacked ``lowrank`` call per step (orth, regression, truncation), so the
-number of LAPACK calls grows with the number of levels, not of blocks.  A
+number of LAPACK calls grows with the number of levels, not of blocks.  The
+factored stack is what the recovered HODLR matrix stores for the level.  A
 block's left Gaussian is its partner's, read through the strided view
 ``[:, ::-1]`` of the family's blocks rather than copied.
 """
@@ -249,16 +250,12 @@ class _DenseDebug:
                 f"sketch noise mismatch at block {j}: structured error form violated"
             )
 
-    def finish_level(self, ell, factors):
-        d = 1 << ell
-        err2 = 0.0
-        m = self.A.shape[0] // d
-        for j, f in enumerate(factors):
-            p = hodlr.partner(j)
-            blk = self.block(d, p, j)
-            err2 += np.linalg.norm(blk - f.dense()) ** 2
-            self.residual[p * m:(p + 1) * m, j * m:(j + 1) * m] -= f.dense()
-        self.level_errors.append(math.sqrt(err2))
+    def finish_level(self, ell, stack):
+        """Subtract the level's recovered stack from the residual; returns
+        the level's Frobenius recovery error."""
+        grid, index = hodlr.block_grid(self.residual, ell, 1)
+        grid[index] -= stack.dense()
+        self.level_errors.append(float(np.linalg.norm(grid[index])))
         return self.level_errors[-1]
 
 
@@ -434,10 +431,13 @@ def run_peel(
         Y = _range_sketch(op, recovered, config, ell, debug)
         stack, ok = level_step(op, recovered, config, ell, Y, truncate, structure_check)
         structure_ok = structure_ok and ok
-        factors = stack.unstack()
-        recovered.append(hodlr.LevelContribution(level=ell, factors=factors))
+        # Sibling pairs (d/2, 2) flattened to the (d,) stack of the level.
+        stack = lowrank.LowRankFactors(
+            *(a.reshape((1 << ell,) + a.shape[2:]) for a in (stack.Q, stack.X, stack.ranks))
+        )
+        recovered.append(stack)
         f1, r1 = op.counter.snapshot()
-        err = debug.finish_level(ell, factors) if debug is not None else None
+        err = debug.finish_level(ell, stack) if debug is not None else None
         report.levels.append(
             LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0, err)
         )
@@ -453,7 +453,7 @@ def run_peel(
     leaves = lowrank.pinv_solve(psi_t, Z)
     if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
         structure_ok = False
-    leaves = list(leaves.reshape((d,) + leaves.shape[-2:]))
+    leaves = leaves.reshape((d,) + leaves.shape[-2:])
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
 

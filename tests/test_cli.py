@@ -94,6 +94,8 @@ def test_bench_writes_csv_and_stamp(tmp_path):
 @pytest.mark.parametrize("experiment, message", [
     ("poisson", "poisson dimension must be a square, got 1000"),
     ("exp_hard", "exp-hard dimension must be a power of two, got 1000"),
+    ("recovery", "recovery at n=1000, k=2: n=1000 is not n_base * 2^9; no valid HODLR layout"),
+    ("hard_block", "--n does not apply to hard_block: the instance fixes n = 8k"),
 ])
 def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, experiment, message):
     # no such operator exists, and a nearby n would not be the n the stamp records

@@ -11,7 +11,6 @@ from hodlrpeel import hodlr
 from hodlrpeel.hodlr import (
     FlopCounter,
     HodlrMatrix,
-    LevelContribution,
     SerializationError,
     StructureError,
     apply_contributions,
@@ -28,21 +27,23 @@ from hodlrpeel.lowrank import LowRankFactors
 from hodlrpeel.rng import stream
 
 
-def empty_contribs(n, k):
+def padded_stack(Qs, Xs):
+    """Level stack of the blocks Q_j X_j, zero-padded to the largest rank."""
+    ranks = np.array([q.shape[1] for q in Qs])
+    d, m, r = len(Qs), Qs[0].shape[0], ranks.max()
+    Q, X = np.zeros((d, m, r)), np.zeros((d, r, m))
+    for j, (q, x) in enumerate(zip(Qs, Xs)):
+        Q[j, :, : q.shape[1]] = q
+        X[j, : x.shape[0]] = x
+    return LowRankFactors(Q, X, ranks)
+
+
+def empty_stacks(n, k):
     L = level_count(n, k)
-    out = []
-    for ell in range(1, L + 1):
-        m = n >> ell
-        out.append(
-            LevelContribution(
-                level=ell,
-                factors=[
-                    LowRankFactors(np.zeros((m, 0)), np.zeros((0, m)))
-                    for _ in range(1 << ell)
-                ],
-            )
-        )
-    return out
+    return [
+        LowRankFactors(np.zeros((d, n // d, 0)), np.zeros((d, 0, n // d)), np.zeros(d, int))
+        for d in (1 << ell for ell in range(1, L + 1))
+    ]
 
 
 def test_level_count_values():
@@ -62,17 +63,17 @@ def test_level_count_rejects_bad_pairs():
 def test_assemble_identity_leaves():
     n, k = 8, 2
     leaves = [np.eye(2) for _ in range(4)]
-    H = assemble(empty_contribs(n, k), leaves, n=n, k=k)
+    H = assemble(empty_stacks(n, k), leaves, n=n, k=k)
     np.testing.assert_array_equal(H.to_dense(), np.eye(8))
 
 
 def test_assemble_single_factor_placement():
     n, k = 8, 2
-    contribs = empty_contribs(n, k)
+    stacks = empty_stacks(n, k)
     u = stream(0, 0).standard_normal((4, 1))
     v = stream(0, 1).standard_normal((1, 4))
-    contribs[0].factors[0] = LowRankFactors(u / np.linalg.norm(u), v)
-    H = assemble(contribs, [np.zeros((2, 2))] * 4, n=n, k=k)
+    stacks[0] = padded_stack([u / np.linalg.norm(u), np.zeros((4, 0))], [v, np.zeros((0, 4))])
+    H = assemble(stacks, [np.zeros((2, 2))] * 4, n=n, k=k)
     D = H.to_dense()
     np.testing.assert_allclose(D[4:, :4], (u / np.linalg.norm(u)) @ v)
     D[4:, :4] = 0.0
@@ -81,26 +82,45 @@ def test_assemble_single_factor_placement():
 
 def test_assemble_rejects_missing_level():
     n, k = 8, 2
-    contribs = empty_contribs(n, k)[:-1]
+    stacks = empty_stacks(n, k)[:-1]
     with pytest.raises(StructureError):
-        assemble(contribs, [np.zeros((2, 2))] * 4, n=n, k=k)
+        assemble(stacks, [np.zeros((2, 2))] * 4, n=n, k=k)
 
 
 def test_assemble_rejects_excess_rank():
     n, k = 8, 2
-    contribs = empty_contribs(n, k)
+    stacks = empty_stacks(n, k)
     Q = np.linalg.qr(stream(0, 2).standard_normal((4, 3)))[0]
-    contribs[0].factors[1] = LowRankFactors(Q, np.zeros((3, 4)))
-    with pytest.raises(StructureError):
-        assemble(contribs, [np.zeros((2, 2))] * 4, n=n, k=k)
-    H = assemble(contribs, [np.zeros((2, 2))] * 4, n=n, k=k, check_rank=False)
+    stacks[0] = padded_stack([np.zeros((4, 0)), Q], [np.zeros((0, 4)), np.zeros((3, 4))])
+    with pytest.raises(StructureError, match="rank 3 exceeds k=2"):
+        assemble(stacks, [np.zeros((2, 2))] * 4, n=n, k=k)
+    H = assemble(stacks, [np.zeros((2, 2))] * 4, n=n, k=k, check_rank=False)
     assert H.levels[0][1].rank == 3
+
+
+def test_assemble_rejects_misfit_stacks():
+    n, k = 8, 2
+    leaves = np.zeros((4, 2, 2))
+    good = empty_stacks(n, k)[0]
+    for bad in (
+        LowRankFactors(np.zeros((2, 4, 1)), np.zeros((2, 1, 4)), np.array([0, 2])),
+        LowRankFactors(np.zeros((2, 4, 1)), np.zeros((2, 1, 4)), np.array([0, -1])),
+        LowRankFactors(np.zeros((2, 4, 1)), np.zeros((2, 1, 4)), np.array([0])),
+        LowRankFactors(np.zeros((2, 3, 0)), np.zeros((2, 0, 3)), np.array([0, 0])),
+        LowRankFactors(np.zeros((2, 4, 1)), np.zeros((2, 2, 4)), np.array([0, 0])),
+        LowRankFactors(np.zeros((4, 4, 0)), np.zeros((4, 0, 4)), np.zeros(4, int)),
+        LowRankFactors(good.Q, good.X),
+        LowRankFactors(np.ones((2, 4, 1)), np.zeros((2, 1, 4)), np.array([1, 0])),
+        LowRankFactors(np.zeros((2, 4, 1)), np.ones((2, 1, 4)), np.array([0, 1])),
+    ):
+        with pytest.raises(StructureError):
+            assemble([bad] + empty_stacks(n, k)[1:], leaves, n=n, k=k, check_rank=False)
 
 
 def test_assemble_rejects_wrong_leaf_shapes():
     n, k = 8, 2
     with pytest.raises(StructureError):
-        assemble(empty_contribs(n, k), [np.zeros((3, 3))] * 4, n=n, k=k)
+        assemble(empty_stacks(n, k), [np.zeros((3, 3))] * 4, n=n, k=k)
 
 
 def test_dense_expansion_is_sum_of_disjoint_levels():
@@ -123,7 +143,7 @@ def test_dense_expansion_is_sum_of_disjoint_levels():
 # hodlr_apply -------------------------------------------------------------------
 
 def test_apply_identity_leaves_only():
-    H = assemble(empty_contribs(8, 2), [np.eye(2)] * 4, n=8, k=2)
+    H = assemble(empty_stacks(8, 2), [np.eye(2)] * 4, n=8, k=2)
     X = stream(2, 0).standard_normal((8, 3))
     np.testing.assert_allclose(hodlr_apply(H, X), X)
 
@@ -193,21 +213,21 @@ def mixed_rank_hodlr(draw):
     L = draw(st.integers(1, 4))
     n = draw(st.integers(k // 2 + 1, k)) << L
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    contribs = []
+    stacks = []
     for ell in range(1, L + 1):
         m, d = n >> ell, 1 << ell
-        ranks = draw(st.one_of(
+        ranks = np.array(draw(st.one_of(
             st.just([0] * d), st.lists(st.integers(0, m), min_size=d, max_size=d)
-        ))
-        factors = [
-            LowRankFactors(rng.standard_normal((m, r)), rng.standard_normal((r, m)))
-            for r in ranks
-        ]
-        contribs.append(LevelContribution(level=ell, factors=factors))
+        )))
+        # Gaussian factors, zeroed past each block's rank.
+        r = ranks.max()
+        Q = rng.standard_normal((d, m, r)) * (np.arange(r) < ranks[:, None, None])
+        X = rng.standard_normal((d, r, m)) * (np.arange(r)[:, None] < ranks[:, None, None])
+        stacks.append(LowRankFactors(Q, X, ranks))
     m = n >> L
-    leaves = [rng.standard_normal((m, m)) for _ in range(1 << L)]
+    leaves = rng.standard_normal((1 << L, m, m))
     X = rng.standard_normal((n, draw(st.integers(1, 5))))
-    return assemble(contribs, leaves, n=n, k=k, check_rank=False), contribs, X
+    return assemble(stacks, leaves, n=n, k=k, check_rank=False), stacks, X
 
 
 def assert_close(out, ref):
@@ -232,9 +252,7 @@ def test_stacked_kernel_matches_blockwise_products(case, side):
 def test_second_apply_reuses_cached_tensors_bit_identically(case, side):
     H, contribs, X = case
     first = hodlr_apply(H, X, side=side)
-    cached = H.stacked
     np.testing.assert_array_equal(hodlr_apply(H, X, side=side), first)
-    assert H.stacked is cached
     once = apply_contributions(contribs, X, side=side)
     np.testing.assert_array_equal(apply_contributions(contribs, X, side=side), once)
 
@@ -310,13 +328,13 @@ def test_assemble_full_peel_roundtrip():
 
 
 def test_to_dense_guard():
-    H = HodlrMatrix(n=16384, k=2, levels=[], leaves=[])
+    H = HodlrMatrix(n=16384, k=2)
     with pytest.raises(StructureError):
         H.to_dense()
 
 
 def test_roundtrip_identity():
-    H = assemble(empty_contribs(8, 2), [np.eye(2)] * 4, n=8, k=2)
+    H = assemble(empty_stacks(8, 2), [np.eye(2)] * 4, n=8, k=2)
     K = from_bytes(to_bytes(H))
     np.testing.assert_array_equal(H.to_dense(), K.to_dense())
 
@@ -330,6 +348,33 @@ def test_roundtrip_random_bit_exact():
         np.testing.assert_array_equal(fa.X, fb.X)
     for a, b in zip(H.leaves, K.leaves):
         np.testing.assert_array_equal(a, b)
+
+
+def blockwise_container(H):
+    """The container written one block record at a time: the reference for
+    the per-level records of ``to_bytes``."""
+    parts = [hodlr.MAGIC, struct.pack("<IQII", hodlr.FORMAT_VERSION, H.n, H.k, H.L)]
+    for factors in H.levels:
+        for j, f in enumerate(factors):
+            parts += [struct.pack("<II", j, f.rank), f.Q.astype("<f8").tobytes(),
+                      f.X.astype("<f8").tobytes()]
+    payload = b"".join(parts + [H.leaves.astype("<f8").tobytes()])
+    return payload + hashlib.sha256(payload).digest()[:8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mixed_rank_hodlr())
+def test_roundtrip_keeps_padded_stacks(case):
+    H, _, _ = case
+    buf = to_bytes(H)
+    assert buf == blockwise_container(H)
+    K = from_bytes(buf)
+    for a, b in zip(H.stacks, K.stacks):
+        np.testing.assert_array_equal(a.Q, b.Q)
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.ranks, b.ranks)
+    np.testing.assert_array_equal(H.leaves, K.leaves)
+    assert to_bytes(K) == buf
 
 
 def test_serialize_deterministic_bytes():

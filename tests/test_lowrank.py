@@ -121,6 +121,17 @@ def assert_close(a, b):
     assert np.linalg.norm(a - b) <= 1e-12 * scale
 
 
+def assert_zero_padded(stack):
+    """The layout a HODLR level stores: width the largest rank, and exact
+    zeros past each block's rank."""
+    ranks = stack.ranks.ravel()
+    Q = stack.Q.reshape((ranks.size,) + stack.Q.shape[-2:])
+    X = stack.X.reshape((ranks.size,) + stack.X.shape[-2:])
+    assert stack.rank == ranks.max(initial=0)
+    for q, x, r in zip(Q, X, ranks):
+        assert not q[:, r:].any() and not x[r:].any()
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=ragged_stack())
 def test_stacked_orth_matches_blockwise(case):
@@ -157,7 +168,8 @@ def test_stacked_truncate_factor_matches_blockwise(case, w, k):
     X = rng.standard_normal((Y.shape[0], Q.shape[2], w))
     stack = truncate_factor(Q, X, k)
     ranks = lowrank.column_ranks(Q)
-    for i, f in enumerate(stack.unstack()):
+    assert_zero_padded(stack)
+    for i, f in enumerate(stack.factors):
         ref = truncate_factor(Q[i, :, : ranks[i]], X[i, : ranks[i]], k)
         assert f.rank == ref.rank == min(ranks[i], k, w)
         assert_close(f.dense(), ref.dense())
@@ -173,7 +185,8 @@ def test_stacked_gn_from_sketches_matches_blockwise(case, extra, k):
     Z = rng.standard_normal((d, s + extra, m))
     for kk in (k, None):
         stack = gn_from_sketches(Y, Z, Psi, kk)
-        for i, f in enumerate(stack.unstack()):
+        assert_zero_padded(stack)
+        for i, f in enumerate(stack.factors):
             ref = gn_from_sketches(Y[i], Z[i], Psi[i], kk)
             assert f.rank == ref.rank
             assert_close(f.dense(), ref.dense())
@@ -194,7 +207,7 @@ def test_gn_from_sketches_on_pairs_with_a_strided_partner_view(case, extra, k):
     assert not Psi.flags.c_contiguous and np.shares_memory(Psi, G)
     stack = gn_from_sketches(Y.reshape(pairs, 2, m, s), Z, Psi, k)
     assert stack.ranks.shape == (pairs, 2)
-    blocks = stack.unstack()
+    blocks = stack.factors
     for j, f in enumerate(blocks):
         a, b = divmod(j, 2)
         ref = gn_from_sketches(Y[j], Z[a, b], G[a, 1 - b].copy(), k)

@@ -198,12 +198,11 @@ def test_nan_in_operator_raises_typed_error():
 
 
 def zeroed_hodlr(n, k, zeroed, key):
-    """random_hodlr with the off-diagonal factors at (level, block) in
+    """random_hodlr with the off-diagonal blocks at (level, block) in
     ``zeroed`` replaced by zero blocks."""
     H = hodlr.random_hodlr(n, k, stream(22, *key))
     for ell, j in zeroed:
-        f = H.levels[ell - 1][j]
-        H.levels[ell - 1][j] = lowrank.LowRankFactors(Q=f.Q, X=np.zeros_like(f.X))
+        H.stacks[ell - 1].X[j] = 0.0
     return H.to_dense()
 
 
@@ -284,15 +283,10 @@ def test_residual_sketch_exact_levels_cancel():
     n, k = 32, 2
     H = hodlr.random_hodlr(n, k, stream(18, 1))
     # an operator equal to the off-diagonal part of H (leaves zeroed)
-    H0 = hodlr.HodlrMatrix(n=n, k=k, levels=H.levels,
-                           leaves=[np.zeros_like(b) for b in H.leaves])
+    H0 = hodlr.HodlrMatrix(n=n, k=k, stacks=H.stacks, leaves=np.zeros_like(H.leaves))
     op = linops.make_dense_operator(H0.to_dense())
-    contribs = [
-        hodlr.LevelContribution(level=ell, factors=f)
-        for ell, f in enumerate(H.levels, start=1)
-    ]
     X = stream(18, 2).standard_normal((n, 2))
-    out = residual_sketch(op, contribs, X, linops.FORWARD)
+    out = residual_sketch(op, H.stacks, X, linops.FORWARD)
     assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(H0.to_dense() @ X)
 
 
@@ -300,14 +294,13 @@ def test_residual_sketch_matches_dense_subtraction():
     n, k = 64, 2
     op, A = hodlr_operator(n, k, (6,))
     H = hodlr.random_hodlr(n, k, stream(18, 3))
-    contribs = [hodlr.LevelContribution(level=1, factors=H.levels[0])]
     lvl = np.zeros((n, n))
     m = n >> 1
     for j, f in enumerate(H.levels[0]):
         r = hodlr.partner(j)
         lvl[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
     X = stream(18, 4).standard_normal((n, 3))
-    out = residual_sketch(op, contribs, X, linops.TRANSPOSE)
+    out = residual_sketch(op, H.stacks[:1], X, linops.TRANSPOSE)
     ref = (A - lvl).T @ X
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     # only the op query hits the counter

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodlrpeel import sketch
 from hodlrpeel.rng import seed_sequence, stream
@@ -28,10 +30,14 @@ def test_bullet_hand_expansion():
     np.testing.assert_array_equal(sketch.bullet(X, Y), [[2.0, 0.0], [0.0, 3.0]])
 
 
-def test_bullet_matches_bruteforce():
-    rng = stream(0, 1)
-    X = rng.standard_normal((2, 2))
-    Y = rng.standard_normal((4, 3))
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), t=st.integers(1, 4), s=st.integers(1, 4),
+       m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_bullet_matches_bruteforce(d, t, s, m, seed):
+    # X (d, t) against d stacked (m, s) blocks, as a family assembles them
+    rng = stream(seed, 1)
+    X = rng.standard_normal((d, t))
+    Y = rng.standard_normal((d * m, s))
     np.testing.assert_array_equal(sketch.bullet(X, Y), bullet_bruteforce(X, Y))
 
 
@@ -65,11 +71,24 @@ def test_perf_countsketch_masks():
     np.testing.assert_array_equal(minus.entries, [[0.0], [1.0]])
 
 
-def test_perf_countsketch_pair_structure():
-    plus, minus = sketch.sample_perf_countsketch(16, 5, (2, 1))
-    total = plus.entries + minus.entries
-    np.testing.assert_array_equal(total.sum(axis=1), np.ones(16))
+@settings(max_examples=60, deadline=None)
+@given(half=st.integers(1, 8), t=st.integers(1, 5), s=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_perf_countsketch_pair_structure(half, t, s, seed):
+    # plus and minus split one CountSketch draw by row parity, and so do the
+    # two sketches of a family built on that draw
+    d, m = 2 * half, 2
+    key = (seed, 2, 1)
+    draw = sketch.sample_countsketch(d, t, key).entries
+    plus, minus = sketch.sample_perf_countsketch(d, t, key)
+    np.testing.assert_array_equal(plus.entries + minus.entries, draw)
     assert not (plus.entries * minus.entries).any()
+    assert not plus.entries[1::2].any() and not minus.entries[0::2].any()
+    fam = sketch.sample_rand_perf_gaussian(d * m, d, s, t, key)
+    stacked = fam.gaussian_blocks.reshape(d * m, s)
+    draw = sketch.sample_countsketch(d, t, (*key, 0)).entries
+    np.testing.assert_array_equal(fam.assembled_plus + fam.assembled_minus,
+                                  bullet_bruteforce(draw, stacked))
 
 
 def test_perf_countsketch_rejects_odd():
