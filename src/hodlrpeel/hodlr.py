@@ -8,9 +8,10 @@ factors of the 2^l x 2^l block partition (factor j lives in block
 the plain sum of the level matrices.
 
 The stack of level l is a ``LowRankFactors`` with Q (2^l, n/2^l, r),
-X (2^l, r, n/2^l) and ranks (2^l,): C-contiguous, r the largest rank of the
-level, and zero past each block's rank.  Peeling recovers a level in this
-form, and the fast product, dense expansion and serialization use it as is.
+X (2^l, r, n/2^l) and ranks (2^l,): r is the largest rank of the level, and
+Q and X are exact zeros past each block's rank.  Peeling recovers a level in
+this form, and the fast product, dense expansion and serialization use it as
+is.
 """
 
 import hashlib
@@ -112,7 +113,10 @@ def assemble(stacks, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
     ``check_rank=False`` admits ranks above k (untruncated peeling output,
     which carries no HODLR(k) certificate).
     """
-    leaves = np.ascontiguousarray(leaves, dtype=float)
+    try:
+        leaves = np.ascontiguousarray(leaves, dtype=float)
+    except ValueError as exc:  # a list of blocks of different shapes
+        raise StructureError(f"leaf blocks do not form one (2^L, m, m) stack: {exc}") from None
     if leaves.ndim != 3 or not leaves.size or leaves.shape[1] != leaves.shape[2]:
         raise StructureError(f"need a (2^L, m, m) stack of leaf blocks, got {leaves.shape}")
     n_leaves, n_base = leaves.shape[:2]
@@ -162,8 +166,8 @@ class FlopCounter:
 
 def _apply_levels(stacks, X, out, side, counter):
     """Add the product of each level stack with the (n, w) block X into
-    ``out`` in place.  Both must be C-contiguous, so that their per-level
-    (d, m, w) reshapes are views.
+    ``out`` in place.  X and ``out`` must be C-contiguous, so that their
+    per-level (d, m, w) reshapes are views.
 
     Forward, factor j maps column block j into row block partner(j) = j ^ 1;
     transpose, it maps row block j ^ 1 back into column block j.
@@ -272,9 +276,9 @@ def _kept_words(ranks, m, r):
 
 
 def to_bytes(H: HodlrMatrix) -> bytes:
-    # Each level's records are built as one array of words and hashed whole,
-    # so the hash is updated once per level, not once per (possibly tiny)
-    # block.  A level whose ranks differ is cut down to the kept words.
+    # Each level's records are one padded array of words, cut to the kept
+    # words (all of them, with no copy, when the level's ranks are equal) and
+    # hashed whole: one hash update per level, not per (possibly tiny) block.
     chunks = [MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]
     for stack in H.stacks:
         d, m, r = stack.Q.shape
@@ -298,8 +302,8 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
     Every header field is checked against the layout before it is used, and
     every read against the bytes left, so a damaged or lying container raises
     only SerializationError.  Once a level's record headers are checked, its
-    blocks are copied from the buffer into the zero-padded stack by whole-level
-    array operations.
+    records are copied from the buffer in one step into a zero-padded array
+    of words, and the level's Q and X are views into that array.
     """
     if len(buf) < len(MAGIC) + 20 + 8:
         raise SerializationError("truncated HODLR container")
@@ -347,14 +351,11 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
             off += 16 * m * r
         ranks = np.array(ranks)
         r = ranks.max()
-        if ranks.min() == r:
-            padded = words(start, d, 1 + 2 * m * r)
-        else:
-            padded = np.zeros((d, 1 + 2 * m * r))
-            padded[_kept_words(ranks, m, r)] = words(start, (off - start) // 8)
+        padded = np.zeros((d, 1 + 2 * m * r))
+        padded[_kept_words(ranks, m, r)] = words(start, (off - start) // 8)
         stacks.append(LowRankFactors(
-            Q=np.ascontiguousarray(padded[:, 1 : 1 + m * r].reshape(d, m, r), dtype=float),
-            X=np.ascontiguousarray(padded[:, 1 + m * r :].reshape(d, r, m), dtype=float),
+            Q=padded[:, 1 : 1 + m * r].reshape(d, m, r),
+            X=padded[:, 1 + m * r :].reshape(d, r, m),
             ranks=ranks,
         ))
     m = n >> L

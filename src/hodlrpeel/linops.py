@@ -39,11 +39,6 @@ class QueryCounter:
             else:
                 self.transpose_count += width
 
-    def reset(self) -> None:
-        with self._lock:
-            self.forward_count = 0
-            self.transpose_count = 0
-
     def snapshot(self) -> tuple[int, int]:
         with self._lock:
             return self.forward_count, self.transpose_count

@@ -176,11 +176,12 @@ def gnm(op, k, s_R, s_L, rng) -> LowRankFactors:
 def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
     """Generalized Nystrom from already-computed (noisy) sketches of B:
     Q = orth(Y) for the right sketch Y ~ B Omega, then Q [[ (Psi^T Q)^+ Z ]]_k
-    for the left sketch Z ~ Psi^T B.  ``k=None`` keeps the regression output
-    untruncated.
+    for the left sketch Z ~ Psi^T B.  ``k=None`` keeps every direction of the
+    regression output.
 
     Shapes are Y (m, s_R), Z (s_L, w) and Psi (m, s_L), or stacks of them
-    with the same leading batch axes, which give a padded stack of factors.
+    with the same leading batch axes, which give a padded stack of factors
+    (see ``truncate_factor``).
     """
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
@@ -193,9 +194,7 @@ def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
     if Psi.shape[-1] < Q.shape[-1]:
         raise RankError("underdetermined regression: Psi^T Q has fewer rows than columns")
     X = pinv_solve(_t(Psi) @ Q, Z)
-    if k is None:
-        return LowRankFactors(Q=Q, X=X, ranks=column_ranks(Q))
-    return truncate_factor(Q, X, k)
+    return truncate_factor(Q, X, X.shape[-2] if k is None else k)
 
 
 def truncate_factor(Q, X, k) -> LowRankFactors:
@@ -204,14 +203,21 @@ def truncate_factor(Q, X, k) -> LowRankFactors:
     Q is an ``orth`` output, a stack included; rows of X that meet its zero
     padding are ignored.  Each block keeps min(rank, k, w) directions for X
     of width w, so a block's result does not depend on the rest of its stack.
+    The padding of the result is exact zeros.
     """
     ranks = column_ranks(Q)
-    X = np.where(np.arange(X.shape[-2])[:, None] < ranks[..., None, None], X, 0.0)
     if X.shape[-2] > min(k, X.shape[-1]):
-        U, s, Vt = np.linalg.svd(X, full_matrices=False)
-        Q = Q @ U[..., :k]
+        U, s, Vt = np.linalg.svd(_zero_rows(X, ranks), full_matrices=False)
         X = s[..., :k, None] * Vt[..., :k, :]
-    return LowRankFactors(Q=Q, X=X, ranks=np.minimum(ranks, X.shape[-2]))
+        ranks = np.minimum(ranks, X.shape[-2])
+        # The SVD leaves rounding, not zeros, in the columns past a rank.
+        Q = _t(_zero_rows(_t(Q @ U[..., :k]), ranks))
+    return LowRankFactors(Q=Q, X=_zero_rows(X, ranks), ranks=ranks)
+
+
+def _zero_rows(X, ranks) -> np.ndarray:
+    """X with the rows past each block's rank set to zero."""
+    return np.where(np.arange(X.shape[-2])[:, None] < ranks[..., None, None], X, 0.0)
 
 
 @dataclass

@@ -121,6 +121,8 @@ def test_assemble_rejects_wrong_leaf_shapes():
     n, k = 8, 2
     with pytest.raises(StructureError):
         assemble(empty_stacks(n, k), [np.zeros((3, 3))] * 4, n=n, k=k)
+    with pytest.raises(StructureError, match="one .* stack"):
+        assemble(empty_stacks(n, k), [np.zeros((2, 2))] * 3 + [np.zeros((3, 3))], n=n, k=k)
 
 
 def test_dense_expansion_is_sum_of_disjoint_levels():

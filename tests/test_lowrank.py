@@ -192,6 +192,32 @@ def test_stacked_gn_from_sketches_matches_blockwise(case, extra, k):
             assert_close(f.dense(), ref.dense())
 
 
+def test_padding_is_exact_zeros_whatever_rounding_the_svd_leaves(monkeypatch):
+    # LAPACK returns exact zeros in the null directions of a matrix with zero
+    # rows, but a stored level's padding must not rest on that: with rounding
+    # added to every singular vector, truncation and the untruncated
+    # regression still give exact zeros past each block's rank.
+    svd = np.linalg.svd
+
+    def rounding_svd(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if not isinstance(out, tuple):
+            return out
+        U, s, Vt = out
+        return U + 1e-17, s, Vt + 1e-17
+
+    monkeypatch.setattr(np.linalg, "svd", rounding_svd)
+    rng = stream(42, 9)
+    Y = np.stack([rng.standard_normal((6, r)) @ rng.standard_normal((r, 5))
+                  for r in (0, 1, 3, 2)])
+    Psi = rng.standard_normal((4, 6, 7))
+    Z = rng.standard_normal((4, 7, 6))
+    for k in (2, None):
+        stack = gn_from_sketches(Y, Z, Psi, k)
+        np.testing.assert_array_equal(stack.ranks, [0, 1, 3, 2] if k is None else [0, 1, 2, 2])
+        assert_zero_padded(stack)
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=ragged_stack(), extra=st.integers(0, 3), k=st.integers(1, 4))
 def test_gn_from_sketches_on_pairs_with_a_strided_partner_view(case, extra, k):
