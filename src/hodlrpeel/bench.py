@@ -1,17 +1,22 @@
-"""Experiment harness: presets, error metrics, experiment grids, executable
-bound checks, and CSV/plot-data output.
+"""Experiment harness: presets, error metrics, the experiment table,
+executable bound checks, and CSV/plot-data output.
 
-Validation of preset configs against the guarantee inequalities is advisory
-here by default (several presets deliberately violate them; that is the point
-of the failure-mode experiments).  Pass ``strict=True`` to hard-fail instead.
+Every grid experiment is one ``GRID_EXPERIMENTS`` entry (operator factory
+and default grid) run by ``run_experiment``.  The peels skip validation of
+preset configs against the guarantee inequalities: several presets
+deliberately violate them; that is the point of the failure-mode
+experiments.
 """
 
 import configparser
 import csv
 import io
+import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,12 +24,6 @@ from . import hodlr, linops, lowrank, peel
 from .rng import seed_sequence, stream
 
 PRESET_NAMES = ("GN1", "GN2", "RSVD1", "RSVD2")
-
-EXPERIMENTS = ("poisson", "kernel", "hard_block", "exp_hard", "recovery", "bound_checks")
-
-# Default (n, k) grid of the recovery experiment.
-RECOVERY_NS = (128, 256)
-RECOVERY_KS = (2, 4)
 
 RESULT_COLUMNS = (
     "experiment",
@@ -104,28 +103,132 @@ def _trial_seed(root_seed, *key) -> int:
     return int(seed_sequence(root_seed, *key).generate_state(1)[0])
 
 
-def _run_cell(op, A, opt, config, experiment, preset_name, trials, root_seed, cell):
-    """Run one grid cell for the requested trials and return its rows."""
+class GridError(ValueError):
+    """An experiment grid that cannot run: an axis the experiment does not
+    have, or a cell with no operator, no HODLR layout or no config."""
+
+
+# Scale of the two hard instances; no grid axis sets it.
+HARD_INSTANCE_ETA = 1e8
+
+
+def poisson_operator(n) -> linops.LinearOperator:
+    """The Poisson operator on a t-by-t grid with n = t^2 unknowns."""
+    t = math.isqrt(max(n, 0))
+    if t * t != n:
+        raise linops.DimensionError(f"poisson dimension must be a square, got {n}")
+    return linops.make_poisson_operator(t)
+
+
+def exp_hard_operator(n, eta=HARD_INSTANCE_ETA) -> linops.LinearOperator:
+    """The exp-hard instance with n = 2^L."""
+    if n < 1 or n & (n - 1):
+        raise linops.DimensionError(f"exp-hard dimension must be a power of two, got {n}")
+    return linops.make_exp_hard_instance(int(n).bit_length() - 1, eta)
+
+
+def _kernel_operator(n, k, seed):
+    return linops.make_kernel_operator(linops.helix_points(n, stream(seed, 10_000 + n)))
+
+
+def _recovery_operator(n, k, seed):
+    H = hodlr.random_hodlr(n, k, stream(seed, 20_000 + n, k))
+    return linops.make_dense_operator(H.to_dense())
+
+
+class Experiment(NamedTuple):
+    """A grid experiment.  ``operator(n, k, seed)`` builds the operator of an
+    (n, k) cell; ``grid`` holds the defaults of exactly the axes the
+    experiment sweeps, ``fixed`` the value of an operator axis (n or k) it
+    does not sweep, and ``trials`` the default trial count per cell."""
+
+    operator: Callable
+    grid: dict
+    fixed: dict
+    trials: int
+
+
+GRID_EXPERIMENTS = {
+    "poisson": Experiment(
+        lambda n, k, seed: poisson_operator(n),
+        {"n": [1024], "k": [8], "beta": [1.0, 0.5, 0.25, 0.125], "preset": ["GN1", "RSVD1"]},
+        {}, 20,
+    ),
+    "kernel": Experiment(
+        _kernel_operator,
+        {"n": [256], "k": [2, 4, 6, 8], "beta": [0.25], "preset": ["GN1"]},
+        {}, 5,
+    ),
+    "hard_block": Experiment(
+        lambda n, k, seed: linops.make_hard_block_instance(k, HARD_INSTANCE_ETA),
+        {"k": [1], "beta": [0.25], "preset": ["RSVD1", "GN1"]},
+        {"n": "8k"}, 20,
+    ),
+    "exp_hard": Experiment(
+        lambda n, k, seed: exp_hard_operator(n),
+        {"n": [2**m for m in range(4, 11)], "beta": [0.5], "preset": ["RSVD1", "GN2", "RSVD2"]},
+        {"k": 1}, 20,
+    ),
+    "recovery": Experiment(
+        _recovery_operator,
+        {"n": [128, 256], "k": [2, 4], "variant": [peel.GENERALIZED_NYSTROM, peel.RSVD]},
+        {}, 5,
+    ),
+}
+
+EXPERIMENTS = (*GRID_EXPERIMENTS, "bound_checks")
+
+
+def _cell_configs(cells, k) -> list:
+    """(config, preset column) of each cell at rank k, in grid order: the
+    preset grids expand every (beta, preset), recovery takes the
+    ``exact_config`` of every variant."""
+    if "variant" in cells:
+        return [(peel.exact_config(k, v), v) for v in cells["variant"]]
+    return [(preset_config(p, k, b), p) for b in cells["beta"] for p in cells["preset"]]
+
+
+def _checked_cells(name, grid, seed) -> dict:
+    """Every axis of experiment ``name`` with ``grid`` overriding its
+    defaults, after building the operator and configs of every (n, k) cell;
+    raises GridError before anything runs."""
+    spec = GRID_EXPERIMENTS[name]
+    for key in grid:
+        if key not in spec.grid:
+            why = (f"the instance fixes {key} = {spec.fixed[key]}" if key in spec.fixed
+                   else f"its axes are {', '.join(spec.grid)}")
+            raise GridError(f"--{key} does not apply to {name}: {why}")
+    cells = {**{key: [v] for key, v in spec.fixed.items()}, **spec.grid, **grid}
+    for n, k in itertools.product(cells["n"], cells["k"]):
+        try:
+            hodlr.level_count(spec.operator(n, k, seed).n, k)
+            _cell_configs(cells, k)
+        except linops.DimensionError as exc:  # the size rules name their operator
+            raise GridError(str(exc)) from None
+        except ValueError as exc:  # no HODLR layout, or no config at rank k
+            raise GridError(f"{name} at n={n}, k={k}: {exc}") from None
+    return cells
+
+
+def _run_cell(name, op, A, config, preset, rel_error, trials, root_seed, cell):
+    """Run one grid cell for the requested trials and return its rows;
+    ``rel_error`` maps a trial's Frobenius error to its relative error."""
     rows = []
     for trial in range(trials):
         ts = _trial_seed(root_seed, cell, trial)
-        cfg = peel.PeelConfig(
-            k=config.k, s_R=config.s_R, t_R=config.t_R, s_L=config.s_L,
-            t_L=config.t_L, variant=config.variant, seed=ts, beta=config.beta,
-        )
         f0, r0 = op.counter.snapshot()
-        H, report = peel.run_peel(op, cfg, allow_invalid=True)
+        H, _ = peel.run_peel(op, replace(config, seed=ts), allow_invalid=True)
         f1, r1 = op.counter.snapshot()
         err = float(np.linalg.norm(A - H.to_dense()))
         rows.append(
             ExperimentRow(
-                experiment=experiment,
-                preset=preset_name,
+                experiment=name,
+                preset=preset,
                 n=op.n,
                 k=config.k,
                 beta=config.beta if config.beta is not None else 0.0,
                 trial=trial,
-                relative_error=relative_error(err, opt),
+                relative_error=rel_error(err),
                 absolute_error=err,
                 forward_queries=f1 - f0,
                 transpose_queries=r1 - r0,
@@ -144,143 +247,36 @@ def run_experiment(name, grid=None, trials=None, seed=0) -> list:
     """Run a named experiment over its parameter grid; returns its
     ExperimentRows.
 
-    ``grid`` overrides the per-experiment defaults key by key; every cell
-    draws its trial seeds from a stream keyed by (seed, cell, trial).
-    ``bound_checks`` ignores the grid and takes ``trials`` as the dict of
-    per-check counts that ``bound_checks`` documents.
+    ``grid`` overrides the defaults of ``GRID_EXPERIMENTS[name]`` axis by
+    axis, and the whole grid is checked before the first peel (GridError).
+    Cells are (n, k) x configs in grid order; every cell draws its trial
+    seeds from a stream keyed by (seed, cell, trial).  ``bound_checks`` has
+    no grid and takes ``trials`` as the dict of per-check counts that
+    ``bound_checks`` documents.
     """
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    grid = dict(grid or {})
     if name == "bound_checks":
+        if grid:
+            raise GridError(f"--{next(iter(grid))} does not apply to bound_checks: it has no grid")
+        if trials is not None and not isinstance(trials, dict):
+            raise GridError("--trials does not apply to bound_checks: each check has its own count")
         return bound_rows(bound_checks(seed=seed, trials=trials), seed)
-    runner = {
-        "poisson": _poisson_rows,
-        "kernel": _kernel_rows,
-        "hard_block": _hard_block_rows,
-        "exp_hard": _exp_hard_rows,
-        "recovery": _recovery_rows,
-    }[name]
-    return runner(dict(grid or {}), trials, seed)
-
-
-def _poisson_rows(grid, trials, seed):
-    trials = trials or 20
-    ts = grid.get("t", [32])
-    ks = grid.get("k", [8])
-    betas = grid.get("beta", [1.0, 0.5, 0.25, 0.125])
-    presets = grid.get("preset", ["GN1", "RSVD1"])
+    if name not in GRID_EXPERIMENTS:
+        raise GridError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    spec, cells = GRID_EXPERIMENTS[name], _checked_cells(name, grid, seed)
+    trials = trials or spec.trials
     rows, cell = [], 0
-    for t in ts:
-        op = linops.make_poisson_operator(t)
+    for n, k in itertools.product(cells["n"], cells["k"]):
+        op = spec.operator(n, k, seed)
         A = op.materialize()
-        for k in ks:
-            opt = _opt_error(A, k)
-            for beta in betas:
-                for pname in presets:
-                    cfg = preset_config(pname, k, beta)
-                    rows += _run_cell(op, A, opt, cfg, "poisson", pname, trials, seed, cell)
-                    cell += 1
-    return rows
-
-
-def _kernel_rows(grid, trials, seed):
-    trials = trials or 5
-    ns = grid.get("n", [256])
-    ks = grid.get("k", [2, 4, 6, 8])
-    betas = grid.get("beta", [0.25])
-    presets = grid.get("preset", ["GN1"])
-    rows, cell = [], 0
-    for n in ns:
-        pts = linops.helix_points(n, stream(seed, 10_000 + n))
-        op = linops.make_kernel_operator(pts)
-        A = op.materialize()
-        for k in ks:
-            opt = _opt_error(A, k)
-            for beta in betas:
-                for pname in presets:
-                    cfg = preset_config(pname, k, beta)
-                    rows += _run_cell(op, A, opt, cfg, "kernel", pname, trials, seed, cell)
-                    cell += 1
-    return rows
-
-
-def _hard_block_rows(grid, trials, seed):
-    trials = trials or 20
-    ks = grid.get("k", [1])
-    eta = grid.get("eta", 1e8)
-    betas = grid.get("beta", [0.25])
-    presets = grid.get("preset", ["RSVD1", "GN1"])
-    rows, cell = [], 0
-    for k in ks:
-        op = linops.make_hard_block_instance(k, eta)
-        A = op.materialize()
-        opt = _opt_error(A, k)
-        for beta in betas:
-            for pname in presets:
-                cfg = preset_config(pname, k, beta)
-                rows += _run_cell(op, A, opt, cfg, "hard_block", pname, trials, seed, cell)
-                cell += 1
-    return rows
-
-
-def _exp_hard_rows(grid, trials, seed):
-    trials = trials or 20
-    ns = grid.get("n", [2**m for m in range(4, 11)])
-    eta = grid.get("eta", 1e8)
-    betas = grid.get("beta", [0.5])
-    presets = grid.get("preset", ["RSVD1", "GN2", "RSVD2"])
-    rows, cell = [], 0
-    for n in ns:
-        L = int(math.log2(n))
-        op = linops.make_exp_hard_instance(L, eta)
-        A = op.materialize()
-        opt = _opt_error(A, 1)
-        for beta in betas:
-            for pname in presets:
-                cfg = preset_config(pname, 1, beta)
-                rows += _run_cell(op, A, opt, cfg, "exp_hard", pname, trials, seed, cell)
-                cell += 1
-    return rows
-
-
-def _recovery_rows(grid, trials, seed):
-    trials = trials or 5
-    ns = grid.get("n", RECOVERY_NS)
-    ks = grid.get("k", RECOVERY_KS)
-    variants = grid.get("variant", [peel.GENERALIZED_NYSTROM, peel.RSVD])
-    rows, cell = [], 0
-    for n in ns:
-        for k in ks:
-            H0 = hodlr.random_hodlr(n, k, stream(seed, 20_000 + n, k))
-            A = H0.to_dense()
-            op = linops.make_dense_operator(A)
+        if "variant" in cells:  # exact recovery: the optimum is zero
             scale = float(np.linalg.norm(A))
-            for variant in variants:
-                for trial in range(trials):
-                    ts = _trial_seed(seed, cell, trial)
-                    cfg_t = peel.exact_config(k, variant, seed=ts)
-                    f0, r0 = op.counter.snapshot()
-                    H, _ = peel.run_peel(op, cfg_t)
-                    f1, r1 = op.counter.snapshot()
-                    err = float(np.linalg.norm(A - H.to_dense()))
-                    rows.append(
-                        ExperimentRow(
-                            experiment="recovery",
-                            preset=variant,
-                            n=n,
-                            k=k,
-                            beta=0.0,
-                            trial=trial,
-                            # exact-recovery runs report error relative to the
-                            # matrix scale (the optimum is zero)
-                            relative_error=err / scale,
-                            absolute_error=err,
-                            forward_queries=f1 - f0,
-                            transpose_queries=r1 - r0,
-                            seed=ts,
-                        )
-                    )
-                cell += 1
+            rel_error = lambda err: err / scale
+        else:
+            rel_error = partial(relative_error, opt_abs=_opt_error(A, k))
+        for config, preset in _cell_configs(cells, k):
+            rows += _run_cell(name, op, A, config, preset, rel_error, trials, seed, cell)
+            cell += 1
     return rows
 
 

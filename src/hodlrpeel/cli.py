@@ -36,30 +36,14 @@ def _usage_error(message):
 
 
 def _build_operator(args, k, seed):
-    """The operator the arguments name; a usage error when it has no HODLR(k)
-    layout."""
+    """The operator the arguments name; a usage error when it cannot be built
+    or has no HODLR(k) layout."""
     try:
         op = _make_operator(args, k, seed)
         hodlr.level_count(op.n, k)
-    except hodlr.StructureError as exc:
+    except (linops.DimensionError, hodlr.StructureError) as exc:
         _usage_error(f"--operator {args.operator}: {exc}")
     return op
-
-
-def _poisson_side(n):
-    """Grid side t of the Poisson operator with n = t^2 unknowns."""
-    t = int(round(n**0.5))
-    if t * t != n:
-        _usage_error(f"poisson dimension must be a square, got {n}")
-    return t
-
-
-def _exp_hard_levels(n):
-    """Level count L of the exp-hard instance with n = 2^L."""
-    L = int(n).bit_length() - 1
-    if 1 << L != n:
-        _usage_error(f"exp-hard dimension must be a power of two, got {n}")
-    return L
 
 
 def _make_operator(args, k, seed):
@@ -71,7 +55,7 @@ def _make_operator(args, k, seed):
     if name == "poisson":
         if not args.n:
             _usage_error("--operator poisson needs --n (a perfect square)")
-        return linops.make_poisson_operator(_poisson_side(args.n))
+        return bench.poisson_operator(args.n)
     if name == "kernel":
         if args.points:
             pts = linops.load_points_csv(args.points)
@@ -85,7 +69,7 @@ def _make_operator(args, k, seed):
     if name == "exp-hard":
         if not args.n:
             _usage_error("--operator exp-hard needs --n (a power of two)")
-        return linops.make_exp_hard_instance(_exp_hard_levels(args.n), args.eta)
+        return bench.exp_hard_operator(args.n, args.eta)
     if not args.n:
         _usage_error("--operator random-hodlr needs --n")
     H = hodlr.random_hodlr(args.n, k, stream(seed, 2))
@@ -151,41 +135,25 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v]
 
 
+def _str_list(text):
+    return text.split(",")
+
+
+# The `bench` options that set a grid axis, each to a comma list.
+_GRID_AXES = ("n", "k", "beta", "preset", "variant")
+
+
 def _cmd_bench(args):
-    if args.experiment == "bound_checks" and args.trials is not None:
-        _usage_error("--trials does not apply to bound_checks: each check has its own count")
-    if args.experiment == "hard_block" and args.n:
-        _usage_error("--n does not apply to hard_block: the instance fixes n = 8k")
-    grid = {}
-    if args.n:
-        grid["n"] = _int_list(args.n)
-        if args.experiment == "poisson":
-            grid["t"] = [_poisson_side(n) for n in grid["n"]]
-        if args.experiment == "exp_hard":
-            for n in grid["n"]:
-                _exp_hard_levels(n)
-    if args.k:
-        grid["k"] = _int_list(args.k)
-    if args.experiment == "recovery":
-        for n in grid.get("n", bench.RECOVERY_NS):
-            for k in grid.get("k", bench.RECOVERY_KS):
-                try:
-                    hodlr.level_count(n, k)
-                except hodlr.StructureError as exc:
-                    _usage_error(f"recovery at n={n}, k={k}: {exc}")
-    if args.beta:
-        grid["beta"] = _float_list(args.beta)
-    if args.preset:
-        grid["preset"] = args.preset.split(",")
-    if args.variant:
-        grid["variant"] = args.variant.split(",")
-    rows = bench.run_experiment(args.experiment, grid, trials=args.trials, seed=args.seed)
+    grid = {key: getattr(args, key) for key in _GRID_AXES if getattr(args, key)}
+    try:
+        rows = bench.run_experiment(args.experiment, grid, trials=args.trials, seed=args.seed)
+    except bench.GridError as exc:
+        _usage_error(str(exc))
     out = args.out or f"{args.experiment}.csv"
     bench.emit(rows, out, fmt=args.format)
     settings = {"experiment": args.experiment, "trials": args.trials or "default",
                 "seed": args.seed, "format": args.format, "out": out}
-    settings.update({key: ",".join(map(str, val)) if isinstance(val, list) else val
-                     for key, val in grid.items()})
+    settings.update({key: ",".join(map(str, val)) for key, val in grid.items()})
     bench.write_config_stamp(f"{out}.config", args.experiment, settings)
     print(f"wrote {out} ({len(rows)} rows) and {out}.config")
     return 0
@@ -233,12 +201,12 @@ def build_parser():
     rp.set_defaults(fn=_cmd_recover)
 
     bp = sub.add_parser("bench", help="run an experiment grid")
-    bp.add_argument("experiment", choices=[e for e in bench.EXPERIMENTS])
-    bp.add_argument("--n", help="comma list of dimensions")
-    bp.add_argument("--k", help="comma list of ranks")
-    bp.add_argument("--beta", help="comma list of oversampling parameters")
-    bp.add_argument("--preset", help="comma list of preset names")
-    bp.add_argument("--variant", help="comma list of variants (recovery)")
+    bp.add_argument("experiment", choices=bench.EXPERIMENTS)
+    bp.add_argument("--n", type=_int_list, help="comma list of dimensions")
+    bp.add_argument("--k", type=_int_list, help="comma list of ranks")
+    bp.add_argument("--beta", type=_float_list, help="comma list of oversampling parameters")
+    bp.add_argument("--preset", type=_str_list, help="comma list of preset names")
+    bp.add_argument("--variant", type=_str_list, help="comma list of variants (recovery)")
     bp.add_argument("--trials", type=int)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--out")

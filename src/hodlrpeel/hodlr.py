@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linops
 from .lowrank import LowRankFactors, orth
-
-DENSE_GUARD = 8192
 
 MAGIC = b"HODLRPK1"
 FORMAT_VERSION = 1
@@ -74,7 +73,7 @@ def block_grid(A, level, flip):
     return grid, (j ^ flip, slice(None), j, slice(None))
 
 
-@dataclass
+@dataclass(eq=False)
 class HodlrMatrix:
     """A HODLR(k) matrix: ``stacks[l-1]`` is the stack of level l and
     ``leaves`` the (2^L, m, m) leaf diagonal blocks."""
@@ -94,8 +93,10 @@ class HodlrMatrix:
         return [stack.factors for stack in self.stacks]
 
     def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_GUARD:
-            raise StructureError(f"refusing dense expansion at n={self.n} > {DENSE_GUARD}")
+        if self.n > linops.DESK_SCALE_LIMIT:
+            raise StructureError(
+                f"refusing dense expansion at n={self.n} > {linops.DESK_SCALE_LIMIT}"
+            )
         A = np.zeros((self.n, self.n))
         for ell, stack in enumerate(self.stacks, start=1):
             grid, index = block_grid(A, ell, 1)

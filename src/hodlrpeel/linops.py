@@ -116,7 +116,7 @@ def make_poisson_operator(t: int) -> LinearOperator:
     """
     t = int(t)
     if t < 2 or t % 2 != 0:
-        raise DimensionError(f"grid side must be even and >= 2, got {t}")
+        raise DimensionError(f"poisson grid side must be even and >= 2, got {t}")
     idx = np.arange(t)
     kappa = np.where(idx <= t // 2 - 1, idx, idx - t).astype(float)
     denom = kappa[:, None] ** 2 + kappa[None, :] ** 2
@@ -164,7 +164,7 @@ def make_kernel_operator(points) -> LinearOperator:
         raise DimensionError(f"point cloud must be (n, 3), got {pts.shape}")
     n = pts.shape[0]
     if n > DESK_SCALE_LIMIT:
-        raise DimensionError(f"n={n} > {DESK_SCALE_LIMIT}")
+        raise DimensionError(f"kernel operator is desk scale: n={n} > {DESK_SCALE_LIMIT}")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     off = ~np.eye(n, dtype=bool)
@@ -195,7 +195,7 @@ def make_hard_block_instance(k: int, eta: float) -> LinearOperator:
     """
     k = int(k)
     if k < 1:
-        raise DimensionError("rank must be >= 1")
+        raise DimensionError(f"hard-block instance needs rank k >= 1, got {k}")
     if eta <= 1:
         raise DimensionError("eta must exceed 1")
     X = np.zeros((2 * k, 2 * k))
@@ -213,7 +213,7 @@ def make_exp_hard_instance(L: int, eta: float) -> LinearOperator:
     2, 4, 8, ..., 2^L (1-based throughout)."""
     L = int(L)
     if L < 2:
-        raise DimensionError("need at least two levels")
+        raise DimensionError(f"exp-hard instance needs at least two levels, got L={L}")
     n = 2**L
     A = np.zeros((n, n))
     A[0::2, 0] = 1.0  # 1-based odd rows

@@ -28,7 +28,7 @@ class RankError(ValueError):
     parameter ordering) does not hold."""
 
 
-@dataclass
+@dataclass(eq=False)
 class LowRankFactors:
     """Rank factorization Q @ X with Q column-orthonormal.
 

@@ -56,14 +56,6 @@ class BlockSelector:
     entries: np.ndarray
     cols: np.ndarray
 
-    @property
-    def d(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def t(self) -> int:
-        return self.entries.shape[1]
-
 
 def sample_countsketch(d: int, t: int, key: tuple) -> BlockSelector:
     """Each row has a single 1 in a uniformly random column, drawn from the
@@ -103,22 +95,6 @@ class SketchFamily:
     gaussian_blocks: np.ndarray
     assembled_plus: np.ndarray
     assembled_minus: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.assembled_plus.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.selector_plus.d
-
-    @property
-    def s(self) -> int:
-        return self.gaussian_blocks.shape[2]
-
-    @property
-    def t(self) -> int:
-        return self.selector_plus.t
 
     @property
     def cols(self) -> np.ndarray:

@@ -104,7 +104,7 @@ def test_exp_hard_experiment_increases_with_n():
 
 def test_poisson_experiment_small_grid():
     rows = run_experiment(
-        "poisson", {"t": [8], "k": [2], "beta": [0.5], "preset": ["GN1"]},
+        "poisson", {"n": [64], "k": [2], "beta": [0.5], "preset": ["GN1"]},
         trials=2, seed=3,
     )
     assert len(rows) == 2
@@ -151,6 +151,27 @@ def test_bound_checks_reject_one_trial_count_for_all():
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError):
         run_experiment("nope")
+
+
+@pytest.mark.parametrize("name", sorted(bench.GRID_EXPERIMENTS))
+def test_every_default_grid_passes_the_check(name):
+    cells = bench._checked_cells(name, {}, seed=0)
+    assert set(cells) == set(bench.GRID_EXPERIMENTS[name].grid) | {"n", "k"}
+
+
+@pytest.mark.parametrize("grid", [
+    {"n": [64], "t": [8]},  # an axis poisson does not have
+    {"n": [64, 36], "k": [8]},  # a later cell with no HODLR layout
+    {"n": [64, 1000]},  # a later cell with no operator
+    {"n": [64], "preset": ["GN1", "GN3"]},  # a later cell with no config
+])
+def test_bad_grid_raises_before_any_peel(monkeypatch, grid):
+    def no_peel(*args, **kwargs):
+        raise AssertionError("a peel ran before the grid was checked")
+
+    monkeypatch.setattr(peel, "run_peel", no_peel)
+    with pytest.raises(bench.GridError):
+        run_experiment("poisson", grid, trials=1, seed=0)
 
 
 # output --------------------------------------------------------------------------

@@ -72,12 +72,24 @@ def test_approx_random_hodlr_without_n_is_a_usage_error():
     assert r.stderr.strip() == "hodlrpeel: error: --operator random-hodlr needs --n"
 
 
-def test_approx_random_hodlr_without_layout_is_a_usage_error():
-    r = run_cli("approx", "--operator", "random-hodlr", "--n", "100", "--k", "4")
-    assert r.returncode == 2
-    lines = r.stderr.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("hodlrpeel: error: --operator random-hodlr: n=100")
+def test_approx_random_hodlr_without_layout_is_a_usage_error(tmp_path):
+    # the random-hodlr case, then operators that cannot be built or have no
+    # HODLR(k) layout at the requested size
+    cases = [
+        ("random-hodlr", "100", "4", "--operator random-hodlr: n=100"),
+        ("kernel", "100", "2", "--operator kernel: n=100 is not"),
+        ("poisson", "36", "8", "--operator poisson: n=36 is not"),
+        ("kernel", "8192", "8", "--operator kernel: kernel operator is desk scale"),
+        ("exp-hard", "2", "1", "--operator exp-hard: exp-hard instance needs at least"),
+    ]
+    out = tmp_path / "x.hodlr"
+    for operator, n, k, message in cases:
+        r = run_cli("approx", "--operator", operator, "--n", n, "--k", k, "--out", str(out))
+        assert r.returncode == 2
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"hodlrpeel: error: {message}")
+        assert not out.exists()
 
 
 def test_bench_writes_csv_and_stamp(tmp_path):
@@ -91,16 +103,41 @@ def test_bench_writes_csv_and_stamp(tmp_path):
     assert "[recovery]" in stamp and "seed = 5" in stamp
 
 
-@pytest.mark.parametrize("experiment, message", [
-    ("poisson", "poisson dimension must be a square, got 1000"),
-    ("exp_hard", "exp-hard dimension must be a power of two, got 1000"),
-    ("recovery", "recovery at n=1000, k=2: n=1000 is not n_base * 2^9; no valid HODLR layout"),
-    ("hard_block", "--n does not apply to hard_block: the instance fixes n = 8k"),
-])
-def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, experiment, message):
+def _bench_case(argv, message):
+    # id "<experiment>-<message>", as pytest names (experiment, message) pairs
+    return pytest.param(argv, message, id=f"{argv[0]}-{message}")
+
+
+@pytest.mark.parametrize("argv, message", [
     # no such operator exists, and a nearby n would not be the n the stamp records
+    _bench_case(("poisson", "--n", "1000", "--trials", "1"),
+                "poisson dimension must be a square, got 1000"),
+    _bench_case(("exp_hard", "--n", "1000", "--trials", "1"),
+                "exp-hard dimension must be a power of two, got 1000"),
+    _bench_case(("recovery", "--n", "1000", "--trials", "1"),
+                "recovery at n=1000, k=2: n=1000 is not n_base * 2^9; no valid HODLR layout"),
+    _bench_case(("hard_block", "--n", "1000", "--trials", "1"),
+                "--n does not apply to hard_block: the instance fixes n = 8k"),
+    # cells with an operator but no HODLR layout, or with no operator
+    _bench_case(("kernel", "--n", "100", "--k", "2"),
+                "kernel at n=100, k=2: n=100 is not n_base * 2^6; no valid HODLR layout"),
+    _bench_case(("poisson", "--n", "36", "--k", "8"),
+                "poisson at n=36, k=8: n=36 is not n_base * 2^3; no valid HODLR layout"),
+    _bench_case(("kernel", "--n", "8192"), "kernel operator is desk scale: n=8192 > 4096"),
+    _bench_case(("exp_hard", "--n", "2"), "exp-hard instance needs at least two levels, got L=1"),
+    # options the experiment has no axis for
+    _bench_case(("exp_hard", "--k", "4"),
+                "--k does not apply to exp_hard: the instance fixes k = 1"),
+    _bench_case(("recovery", "--beta", "0.5"),
+                "--beta does not apply to recovery: its axes are n, k, variant"),
+    _bench_case(("poisson", "--variant", "rsvd"),
+                "--variant does not apply to poisson: its axes are n, k, beta, preset"),
+    _bench_case(("bound_checks", "--n", "64"),
+                "--n does not apply to bound_checks: it has no grid"),
+])
+def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, argv, message):
     out = tmp_path / "x.csv"
-    r = run_cli("bench", experiment, "--n", "1000", "--trials", "1", "--out", str(out))
+    r = run_cli("bench", *argv, "--out", str(out))
     assert r.returncode == 2
     assert r.stderr.strip() == f"hodlrpeel: error: {message}"
     assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -330,9 +331,19 @@ def test_assemble_full_peel_roundtrip():
 
 
 def test_to_dense_guard():
-    H = HodlrMatrix(n=16384, k=2)
-    with pytest.raises(StructureError):
-        H.to_dense()
+    # both are above linops.DESK_SCALE_LIMIT (4096), the one dense-size guard
+    for H in (HodlrMatrix(n=16384, k=2), random_hodlr(8192, 8, stream(4, 1))):
+        with pytest.raises(StructureError):
+            H.to_dense()
+
+
+def test_equality_is_identity_and_does_not_raise():
+    # the containers hold arrays, so == compares identity, not contents
+    H = random_hodlr(16, 2, stream(1))
+    K = from_bytes(to_bytes(H))
+    assert H == H and H != K
+    assert H != dataclasses.replace(H, leaves=H.leaves.copy())
+    assert H.stacks[0] == H.stacks[0] and H.stacks[0] != K.stacks[0]
 
 
 def test_roundtrip_identity():
