@@ -263,8 +263,10 @@ def run_experiment(name, grid=None, trials=None, seed=0) -> list:
         return bound_rows(bound_checks(seed=seed, trials=trials), seed)
     if name not in GRID_EXPERIMENTS:
         raise GridError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    if trials is not None and trials < 1:
+        raise GridError(f"--trials must be at least 1, got {trials}")
     spec, cells = GRID_EXPERIMENTS[name], _checked_cells(name, grid, seed)
-    trials = trials or spec.trials
+    trials = spec.trials if trials is None else trials
     rows, cell = [], 0
     for n, k in itertools.product(cells["n"], cells["k"]):
         op = spec.operator(n, k, seed)

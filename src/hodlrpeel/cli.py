@@ -43,6 +43,10 @@ def _build_operator(args, k, seed):
         hodlr.level_count(op.n, k)
     except (linops.DimensionError, hodlr.StructureError) as exc:
         _usage_error(f"--operator {args.operator}: {exc}")
+    except OSError as exc:  # the --in or --points file cannot be read
+        path = args.infile if args.operator == "dense" else args.points
+        reason = exc.strerror or "not found"
+        _usage_error(f"--operator {args.operator}: cannot read {path}: {reason}")
     return op
 
 

@@ -63,14 +63,23 @@ def level_count(n: int, k: int) -> int:
     return L
 
 
-def block_grid(A, level, flip):
-    """A as its 2^level x 2^level grid of blocks, and the index that picks
-    blocks (j ^ flip, j) of the grid as a (2^level, m, m) stack: the
-    level's off-diagonal blocks for flip = 1, the diagonal for flip = 0."""
-    d = 1 << level
-    j = np.arange(d)
-    grid = A.reshape(d, A.shape[0] // d, d, A.shape[1] // d)
-    return grid, (j ^ flip, slice(None), j, slice(None))
+def block_view(A, level, flip):
+    """Writeable view of the blocks (j ^ flip, j) of A cut into a
+    2^level x 2^level grid of m x m blocks: the level's off-diagonal blocks
+    for flip = 1, the diagonal blocks for flip = 0.
+
+    A may also be a (g, N, N) stack of the diagonal blocks of a larger
+    matrix, each cut the same way; block j then lies in diagonal block
+    j // 2^level.  The view is (g, 2^level, m, m) for flip = 0 and
+    (g, 2^level / 2, 2, m, m), by sibling pair, for flip = 1: either way its
+    leading axes, flattened in C order, count the blocks j.
+    """
+    e = 1 << level
+    m = A.shape[-1] >> level
+    if flip == 0:
+        return np.einsum("gimin->gimn", A.reshape(-1, e, m, e, m))
+    pairs = np.einsum("gapmaqn->gapqmn", A.reshape(-1, e // 2, 2, m, e // 2, 2, m))
+    return np.einsum("gaqqmn->gaqmn", pairs[:, :, ::-1])
 
 
 @dataclass(eq=False)
@@ -97,13 +106,29 @@ class HodlrMatrix:
             raise StructureError(
                 f"refusing dense expansion at n={self.n} > {linops.DESK_SCALE_LIMIT}"
             )
-        A = np.zeros((self.n, self.n))
-        for ell, stack in enumerate(self.stacks, start=1):
-            grid, index = block_grid(A, ell, 1)
-            grid[index] = stack.dense()
-        grid, index = block_grid(A, self.L, 0)
-        grid[index] = self.leaves
-        return A
+        return fold(self, self.L)[0]
+
+
+def fold(H, c, counter=None) -> np.ndarray:
+    """The leaves and the bottom c levels of H as its n/D dense D x D
+    diagonal blocks, D = leaf size * 2^c: a (n/D, D, D) stack.  Each level
+    block Q_j X_j is written straight into its place (j ^ 1, j); c = L gives
+    the whole dense matrix as one block."""
+    top = H.L - c
+    D = H.n >> top
+    S = np.zeros((1 << top, D, D))
+    leaves = block_view(S, c, 0)
+    leaves[...] = H.leaves.reshape(leaves.shape)
+    for ell, stack in enumerate(H.stacks[top:], start=top + 1):
+        d, m, r = stack.Q.shape
+        if r == 0:
+            continue
+        blocks = block_view(S, ell - top, 1)
+        batch = blocks.shape[:-2]
+        np.matmul(stack.Q.reshape(*batch, m, r), stack.X.reshape(*batch, r, m), out=blocks)
+        if counter is not None:
+            counter.add(d * m, r, m)
+    return S
 
 
 def assemble(stacks, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
@@ -201,23 +226,40 @@ def apply_contributions(contribs, X, side="forward", counter=None) -> np.ndarray
     return out
 
 
+def fold_depth(n: int, k: int, w: int) -> int:
+    """How many bottom levels of an (n, k) layout ``hodlr_apply`` folds into
+    dense diagonal blocks for a product with w columns: every level whose
+    block size m is at most 4k, where the low-rank form saves little
+    arithmetic and costs one small BLAS call per block, and at most 2w,
+    where building a level's dense blocks (2 n m r flops) costs no more than
+    applying its factors (4 n r w)."""
+    limit = min(4 * k, 2 * w)
+    return sum((n >> ell) <= limit for ell in range(1, level_count(n, k) + 1))
+
+
 def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
-    """Fast product H @ X (or H^T @ X); O(n k L b) arithmetic."""
+    """Fast product H @ X (or H^T @ X); O(n k L b) arithmetic for b columns.
+
+    The top L - c levels are applied from their factors; the leaves and the
+    bottom c = ``fold_depth`` levels are folded, per call, into dense
+    diagonal blocks and applied with one stacked matmul.
+    """
     X = np.ascontiguousarray(X, dtype=float)
     squeeze = X.ndim == 1
     if squeeze:
         X = X[:, None]
     if X.shape[0] != H.n:
         raise StructureError(f"expected {H.n} rows, got {X.shape[0]}")
-    leaves = H.leaves
-    d, m, _ = leaves.shape
     w = X.shape[1]
-    Xb = X.reshape(d, m, w)
-    out = leaves @ Xb if side == "forward" else leaves.transpose(0, 2, 1) @ Xb
+    c = fold_depth(H.n, H.k, w)
+    S = fold(H, c, counter)
+    g, D, _ = S.shape
+    Xb = X.reshape(g, D, w)
+    out = S @ Xb if side == "forward" else S.transpose(0, 2, 1) @ Xb
     out = out.reshape(H.n, w)
     if counter is not None:
-        counter.add(d * m, m, w)
-    _apply_levels(H.stacks, X, out, side, counter)
+        counter.add(g * D, D, w)
+    _apply_levels(H.stacks[: H.L - c], X, out, side, counter)
     return out[:, 0] if squeeze else out
 
 
@@ -232,14 +274,13 @@ def best_hodlr(A, k: int) -> HodlrMatrix:
     L = level_count(n, k)
     stacks = []
     for ell in range(1, L + 1):
-        grid, index = block_grid(A, ell, 1)
-        U, s, Vt = np.linalg.svd(grid[index], full_matrices=False)
+        U, s, Vt = np.linalg.svd(block_view(A, ell, 1).reshape(-1, n >> ell, n >> ell),
+                                 full_matrices=False)
         r = min(k, s.shape[-1])
         Q = np.ascontiguousarray(U[..., :r])
         stacks.append(LowRankFactors(Q=Q, X=s[..., :r, None] * Vt[..., :r, :],
                                      ranks=np.full(1 << ell, r)))
-    grid, index = block_grid(A, L, 0)
-    return assemble(stacks, grid[index], n=n, k=k)
+    return assemble(stacks, block_view(A, L, 0)[0], n=n, k=k)
 
 
 def random_hodlr(n, k, rng, leaf_scale=1.0) -> HodlrMatrix:

@@ -253,9 +253,9 @@ class _DenseDebug:
     def finish_level(self, ell, stack):
         """Subtract the level's recovered stack from the residual; returns
         the level's Frobenius recovery error."""
-        grid, index = hodlr.block_grid(self.residual, ell, 1)
-        grid[index] -= stack.dense()
-        self.level_errors.append(float(np.linalg.norm(grid[index])))
+        blocks = hodlr.block_view(self.residual, ell, 1)
+        blocks -= stack.dense().reshape(blocks.shape)
+        self.level_errors.append(float(np.linalg.norm(blocks)))
         return self.level_errors[-1]
 
 

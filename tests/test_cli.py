@@ -92,6 +92,19 @@ def test_approx_random_hodlr_without_layout_is_a_usage_error(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["approx", "recover"])
+@pytest.mark.parametrize("operator, flag", [("dense", "--in"), ("kernel", "--points")])
+def test_missing_input_file_is_a_usage_error(tmp_path, command, operator, flag):
+    missing, out = tmp_path / "nope.csv", tmp_path / "x.hodlr"
+    r = run_cli(command, "--operator", operator, flag, str(missing), "--k", "2",
+                "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.strip() == (
+        f"hodlrpeel: error: --operator {operator}: cannot read {missing}: not found"
+    )
+    assert not out.exists()
+
+
 def test_bench_writes_csv_and_stamp(tmp_path):
     out = tmp_path / "rec.csv"
     r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", "2",
@@ -151,6 +164,17 @@ def test_bench_bound_checks_trials_is_a_usage_error(tmp_path):
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("hodlrpeel: error: --trials")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_bench_trials_below_one_is_a_usage_error(tmp_path, trials):
+    # 0 used to mean the default count, and -1 wrote a header-only CSV
+    out = tmp_path / "r.csv"
+    r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", trials,
+                "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.strip() == f"hodlrpeel: error: --trials must be at least 1, got {trials}"
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from hodlrpeel.hodlr import (
     apply_contributions,
     assemble,
     best_hodlr,
+    fold_depth,
     from_bytes,
     hodlr_apply,
     level_count,
@@ -207,38 +208,50 @@ def blockwise_apply(n, levels, leaves, X, side):
     return out
 
 
+def random_stack(rng, d, m, ranks):
+    """Gaussian level stack with the given block ranks, zero past each."""
+    r = max(ranks, default=0)
+    ranks = np.array(ranks)
+    Q = rng.standard_normal((d, m, r)) * (np.arange(r) < ranks[:, None, None])
+    X = rng.standard_normal((d, r, m)) * (np.arange(r)[:, None] < ranks[:, None, None])
+    return LowRankFactors(Q, X, ranks)
+
+
 @st.composite
-def mixed_rank_hodlr(draw):
+def mixed_rank_hodlr(draw, k=st.integers(1, 4), L=st.integers(1, 4), w=st.integers(1, 5)):
     """A HODLR layout whose blocks have any rank from 0 to the block size:
     whole rank-0 levels, mixed ranks below the padded width, and untruncated
-    ranks above k."""
-    k = draw(st.integers(1, 4))
-    L = draw(st.integers(1, 4))
+    ranks above k.  Returns (H, its level stacks, an (n, w) input)."""
+    k, L = draw(k), draw(L)
     n = draw(st.integers(k // 2 + 1, k)) << L
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     stacks = []
     for ell in range(1, L + 1):
         m, d = n >> ell, 1 << ell
-        ranks = np.array(draw(st.one_of(
+        stacks.append(random_stack(rng, d, m, draw(st.one_of(
             st.just([0] * d), st.lists(st.integers(0, m), min_size=d, max_size=d)
-        )))
-        # Gaussian factors, zeroed past each block's rank.
-        r = ranks.max()
-        Q = rng.standard_normal((d, m, r)) * (np.arange(r) < ranks[:, None, None])
-        X = rng.standard_normal((d, r, m)) * (np.arange(r)[:, None] < ranks[:, None, None])
-        stacks.append(LowRankFactors(Q, X, ranks))
+        ))))
     m = n >> L
     leaves = rng.standard_normal((1 << L, m, m))
-    X = rng.standard_normal((n, draw(st.integers(1, 5))))
+    X = rng.standard_normal((n, draw(w)))
     return assemble(stacks, leaves, n=n, k=k, check_rank=False), stacks, X
+
+
+# Any layout, plus two that hodlr_apply folds for sure: in part (k = 1,
+# L = 6: the bottom 2 or 3 of 6 levels) and whole (n = 8, k = 2, w >= 2).
+apply_cases = st.one_of(
+    mixed_rank_hodlr(),
+    mixed_rank_hodlr(k=st.just(1), L=st.just(6)),
+    mixed_rank_hodlr(k=st.just(2), L=st.just(2), w=st.integers(2, 5)),
+)
 
 
 def assert_close(out, ref):
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=mixed_rank_hodlr(), side=st.sampled_from(["forward", "transpose"]))
+@settings(max_examples=90, deadline=None)
+@given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]))
 def test_stacked_kernel_matches_blockwise_products(case, side):
     H, contribs, X = case
     assert_close(hodlr_apply(H, X, side=side),
@@ -251,13 +264,59 @@ def test_stacked_kernel_matches_blockwise_products(case, side):
 
 
 @settings(max_examples=20, deadline=None)
-@given(case=mixed_rank_hodlr(), side=st.sampled_from(["forward", "transpose"]))
-def test_second_apply_reuses_cached_tensors_bit_identically(case, side):
+@given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]))
+def test_repeated_apply_is_bit_identical(case, side):
     H, contribs, X = case
     first = hodlr_apply(H, X, side=side)
     np.testing.assert_array_equal(hodlr_apply(H, X, side=side), first)
     once = apply_contributions(contribs, X, side=side)
     np.testing.assert_array_equal(apply_contributions(contribs, X, side=side), once)
+
+
+def test_fold_depth_rule():
+    # blocks of size m <= min(4k, 2w) are folded: the poisson-16k and
+    # exphard-1k layouts at 64 columns, the fixed layouts of apply_cases,
+    # and none for one column at k = 4 (building them would cost more)
+    assert fold_depth(16384, 8, 64) == 3
+    assert fold_depth(1024, 1, 64) == 3
+    assert fold_depth(64, 1, 1) == 2 and fold_depth(64, 1, 2) == 3
+    assert fold_depth(8, 2, 2) == 2 == level_count(8, 2)
+    assert fold_depth(8, 2, 1) == 1
+    assert fold_depth(256, 4, 1) == 0 and fold_depth(256, 4, 8) == 3
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 8])
+@pytest.mark.parametrize("side", ["forward", "transpose"])
+def test_folded_band_with_zero_ragged_and_above_k_ranks(side, w):
+    # k = 1, L = 6: levels 4-6 (m = 4, 2, 1) are folded for w >= 2, level 5
+    # is all rank 0, level 4 has ranks 0 to 4 (above k), level 6 is ragged
+    rng = stream(2, 7)
+    ranks = {1: [1, 0], 2: [1, 1, 0, 1], 3: [0, 1] * 4, 4: [0, 1, 2, 3, 4] * 3 + [2],
+             5: [0] * 32, 6: [1, 0] * 32}
+    stacks = [random_stack(rng, 1 << ell, 64 >> ell, ranks[ell]) for ell in range(1, 7)]
+    H = assemble(stacks, rng.standard_normal((64, 1, 1)), n=64, k=1, check_rank=False)
+    X = rng.standard_normal((64, w))
+    assert fold_depth(64, 1, w) == (3 if w >= 2 else 2)
+    assert_close(hodlr_apply(H, X, side=side), blockwise_apply(64, H.levels, H.leaves, X, side))
+
+
+def test_flop_counter_counts_the_fold():
+    # top levels 4 n r w each, folded levels 2 n m r each (their dense
+    # blocks), and the dense diagonal blocks 2 n D w
+    n, k, w = 256, 4, 8
+    H = random_hodlr(n, k, stream(2, 8))
+    c = FlopCounter()
+    hodlr_apply(H, np.ones((n, w)), counter=c)
+    L, folded = level_count(n, k), fold_depth(n, k, w)
+    top = sum(4 * n * k * w for _ in range(L - folded))
+    fold = sum(2 * n * (n >> ell) * k for ell in range(L - folded + 1, L + 1))
+    assert c.flops == top + fold + 2 * n * (n >> (L - folded)) * w
+
+
+def test_to_dense_is_the_whole_fold():
+    H = random_hodlr(64, 3, stream(2, 9))
+    np.testing.assert_array_equal(H.to_dense(), hodlr.fold(H, H.L)[0])
+    assert_close(hodlr_apply(H, np.eye(64)), H.to_dense())
 
 
 # best_hodlr ---------------------------------------------------------------------
