@@ -308,15 +308,9 @@ def test_flop_counter_counts_the_fold():
     c = FlopCounter()
     hodlr_apply(H, np.ones((n, w)), counter=c)
     L, folded = level_count(n, k), fold_depth(n, k, w)
-    top = sum(4 * n * k * w for _ in range(L - folded))
+    top = (L - folded) * 4 * n * k * w
     fold = sum(2 * n * (n >> ell) * k for ell in range(L - folded + 1, L + 1))
     assert c.flops == top + fold + 2 * n * (n >> (L - folded)) * w
-
-
-def test_to_dense_is_the_whole_fold():
-    H = random_hodlr(64, 3, stream(2, 9))
-    np.testing.assert_array_equal(H.to_dense(), hodlr.fold(H, H.L)[0])
-    assert_close(hodlr_apply(H, np.eye(64)), H.to_dense())
 
 
 # best_hodlr ---------------------------------------------------------------------
