@@ -35,6 +35,14 @@ def _usage_error(message):
     raise SystemExit(2)
 
 
+def _seed(text):
+    """A --seed value: a non-negative integer, as the random streams need."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _build_operator(args, k, seed):
     """The operator the arguments name; a usage error when it cannot be built
     or has no HODLR(k) layout."""
@@ -97,10 +105,20 @@ def _print_report(report, n):
 
 
 def _cmd_approx(args):
-    config = bench.preset_config(args.preset, args.k, args.beta, seed=args.seed)
+    try:
+        config = bench.preset_config(args.preset, args.k, args.beta, seed=args.seed)
+    except ValueError as exc:  # ConfigError included
+        _usage_error(f"--preset {args.preset} --k {args.k} --beta {args.beta}: {exc}")
     if args.variant and args.variant != config.variant:
         _usage_error(f"preset {args.preset} conflicts with --variant {args.variant}")
     op = _build_operator(args, args.k, args.seed)
+    violations = config.theory_violations()
+    if violations and not args.allow_invalid_config:
+        _usage_error(
+            f"--preset {args.preset} --k {args.k} --beta {args.beta} fails guarantee"
+            f" validation ({'; '.join(violations)}); pass --allow-invalid-config to"
+            " run it anyway"
+        )
     H, report = peel.run_peel(
         op,
         config,
@@ -190,7 +208,7 @@ def build_parser():
     ap.add_argument("--beta", type=float, default=0.5)
     ap.add_argument("--preset", default="GN1", choices=bench.PRESET_NAMES)
     ap.add_argument("--variant", choices=[peel.GENERALIZED_NYSTROM, peel.RSVD])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--out", help="write the HODLR container here")
     ap.add_argument("--no-truncate", action="store_true",
                     help="keep full sketch-rank factors (no HODLR(k) certificate)")
@@ -200,7 +218,7 @@ def build_parser():
     rp = sub.add_parser("recover", help="exactly recover a HODLR(k) operator")
     _add_operator_args(rp)
     rp.add_argument("--k", type=int, required=True)
-    rp.add_argument("--seed", type=int, default=0)
+    rp.add_argument("--seed", type=_seed, default=0)
     rp.add_argument("--out")
     rp.set_defaults(fn=_cmd_recover)
 
@@ -212,13 +230,13 @@ def build_parser():
     bp.add_argument("--preset", type=_str_list, help="comma list of preset names")
     bp.add_argument("--variant", type=_str_list, help="comma list of variants (recovery)")
     bp.add_argument("--trials", type=int)
-    bp.add_argument("--seed", type=int, default=0)
+    bp.add_argument("--seed", type=_seed, default=0)
     bp.add_argument("--out")
     bp.add_argument("--format", default="csv", choices=["csv", "plotdata"])
     bp.set_defaults(fn=_cmd_bench)
 
     cp = sub.add_parser("check-bounds", help="run the executable bound suites")
-    cp.add_argument("--seed", type=int, default=0)
+    cp.add_argument("--seed", type=_seed, default=0)
     cp.add_argument("--out", help="also dump the checks as CSV")
     cp.set_defaults(fn=_cmd_check_bounds)
     return p

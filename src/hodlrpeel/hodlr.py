@@ -218,12 +218,124 @@ def _apply_levels(stacks, X, out, side, counter):
             counter.add(d * m, r, w)
 
 
-def apply_contributions(contribs, X, side="forward", counter=None) -> np.ndarray:
-    """Product of the recovered level stacks ``contribs`` with an (n, b) block."""
-    X = np.ascontiguousarray(X, dtype=float)
-    out = np.zeros_like(X)
-    _apply_levels(contribs, X, out, side, counter)
-    return out
+# Input and output entries, over the classes, that ``apply_contributions``
+# takes per step: 2^16 (512 KiB), so that a step's rows stay in cache
+# across the levels.
+STEP_ENTRIES = 1 << 16
+
+
+def _row_classes(F, m, c, swap, reverse):
+    """Copy of a (e, M, r) stack of factors as (c, e M / c, r): the rows of
+    each factor cut into m-row sub-blocks, class q holding sub-blocks
+    q, q + c, q + 2c, ... of every factor in turn.  ``swap`` takes factor
+    J ^ 1 in place of J, and ``reverse`` lists the classes in reverse order."""
+    e, M, r = F.shape
+    F = F.reshape(e // 2, 2, M // (c * m), c, m, r)
+    if swap:
+        F = F[:, ::-1]
+    if reverse:
+        F = F[:, :, :, ::-1]
+    return np.ascontiguousarray(F.transpose(3, 0, 1, 2, 4, 5)).reshape(c, e * M // c, r)
+
+
+def apply_contributions(contribs, blocks, cols, out, side="forward", counter=None):
+    """Subtract from ``out``, in place, the recovered level stacks' share of
+    the sketch blocks a peeling level reads.
+
+    The level cuts n rows into d blocks of m rows.  Input block i is row block
+    i of ``blocks`` (n, s), placed in column group ``cols[i]`` of its sketch.
+    ``out`` is a C-contiguous (c, d/c, m, s) stack, one entry per input block
+    i = c a + p, at ``out[p, a]``:
+
+    * c = 2, perforated: the sketch of parity p holds the blocks i of parity
+      p, and ``out[p, a]`` is the partner row block i ^ 1, column group
+      ``cols[i]``, of the levels' product with it;
+    * c = 1, unperforated: one sketch holds every block, and ``out[0, i]`` is
+      row block i, column group ``cols[i]``.
+
+    Only the blocks that feed those entries are multiplied.  In each class a
+    factor J of a level contracts its side of the product (X_J forward,
+    Q_J^T transpose) with the input blocks under it, summed per column
+    group: one r x s matrix per group, and one deep matmul when a single
+    group is in use.  Its other side maps the sums onto the rows of the
+    partner block J ^ 1 that ``out`` holds, each entry taking its own
+    group's sum.  That is 4 n r s flops per level for both classes together.
+
+    The rows of each class go in steps of ``STEP_ENTRIES`` entries, which
+    every level visits in turn while they are in cache.  A level whose
+    factors fit in a step is done there; with a single group, a larger one
+    sums its contractions over the steps and maps them in a second pass.
+    """
+    c, _, m, s = out.shape
+    n = blocks.shape[0]
+    rows = n // c  # per class
+    fwd = side == "forward"
+    groups = cols.reshape(-1, c).T
+    one_group = not np.any(cols)
+    step = m
+    while 2 * step <= rows and (2 * step * c * s <= STEP_ENTRIES or not one_group):
+        step *= 2
+    levels = []
+    for stack in contribs:
+        Q, X = stack.Q, stack.X
+        e, M, r = Q.shape
+        if r == 0:
+            continue
+        # Slot J of C contracts the input blocks under J, and slot I of E maps
+        # onto the rows of I: each holds K rows of a factor per class.
+        Xt = X.swapaxes(1, 2)
+        C = _row_classes(Xt if fwd else Q, m, c, swap=not fwd, reverse=False)
+        E = _row_classes(Q if fwd else Xt, m, c, swap=fwd, reverse=True)
+        K = M // c
+        W = np.zeros((c, rows // K, r, s)) if K >= step else None
+        levels.append((r, K, C, E, W))
+        if counter is not None:
+            counter.add(r, n, s)
+            counter.add(n, r, s)
+    if not levels:
+        return
+    g = np.empty((c, step, s))
+    res = np.empty((c, step, s))
+    acc = np.reshape(out, (c, rows, s), copy=False)
+    for x0 in range(0, rows, step):
+        x1 = x0 + step
+        np.copyto(g.reshape(c, step // m, m, s),
+                  blocks[c * x0 : c * x1].reshape(step // m, c, m, s).swapaxes(0, 1))
+        for r, K, C, E, W in levels:
+            if W is not None:
+                W[:, (x0 // K) ^ 1] += C[:, x0:x1].swapaxes(-1, -2) @ g
+                continue
+            # The step holds whole partner pairs of slots, cut into u pieces
+            # of k rows each: one piece per slot, or one per input block.
+            u = 1 if one_group else K // m
+            k = K // u
+            shape = (c, step // (2 * K), 2, u, k)
+            P = C[:, x0:x1].reshape(shape + (r,)).swapaxes(-1, -2) @ g.reshape(shape + (s,))
+            P = P[:, :, ::-1]
+            if not one_group:
+                P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
+            np.matmul(E[:, x0:x1].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
+            acc[:, x0:x1] -= res
+    if any(W is not None for *_, W in levels):
+        for x0 in range(0, rows, step):
+            x1 = x0 + step
+            for r, K, C, E, W in levels:
+                if W is not None:
+                    np.matmul(E[:, x0:x1], W[:, x0 // K], out=res)
+                    acc[:, x0:x1] -= res
+
+
+def _group_sums(P, grp):
+    """Contractions P (c, p, 2, u, r, s) of single input blocks, each already
+    in the slot of the partner pair that reads it, summed per column group
+    of the input blocks; output block (c, p, 2, u) of a slot takes the sum
+    of its own group ``grp``."""
+    t = int(grp.max()) + 1
+    slots = t * np.arange(grp.size // grp.shape[-1]).reshape(grp.shape[:-1] + (1,))
+    width = P.shape[-2] * P.shape[-1]
+    bins = (slots + grp[:, :, ::-1])[..., None] * width + np.arange(width)
+    sums = np.bincount(bins.ravel(), weights=P.ravel(), minlength=slots.size * t * width)
+    return sums.reshape((-1,) + P.shape[-2:])[slots + grp]
 
 
 def fold_depth(n: int, k: int, w: int) -> int:

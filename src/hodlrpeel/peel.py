@@ -202,14 +202,34 @@ def expected_queries(config: PeelConfig, n: int) -> tuple[int, int]:
     )
 
 
-def residual_sketch(op, recovered, block, side) -> np.ndarray:
-    """Sketch of the operator minus already-recovered levels: one blocked op
-    query, with the recovered contributions applied by fast factor products
-    (the counter sees only the op query)."""
-    out = op.apply(block, side)
+def residual_sketch(op, recovered, inputs, blocks, cols, side) -> np.ndarray:
+    """The sketch blocks a level reads from the operator minus its recovered
+    levels, as a (d/2, 2, m, s) stack by input block (``hodlr.block_view``
+    order): entry i is the partner row block i ^ 1, column group ``cols[i]``,
+    of the product with the parity of block i for a perforated pair
+    ``inputs`` = (plus, minus), and row block i, column group ``cols[i]``, of
+    the product with an unperforated ``inputs`` = (sketch,).  ``blocks`` is
+    the (n, s) stack of input blocks the sketches assemble.
+
+    Each product is one counted op query, read straight into the stack; the
+    recovered levels are subtracted by ``hodlr.apply_contributions``, from
+    the input blocks alone."""
+    c, d = len(inputs), len(cols)
+    n, s = blocks.shape
+    m = n // d
+    out = np.empty((c, d // c, m, s))
+    groups = cols.reshape(d // c, c)
+    for p, omega in enumerate(inputs):
+        sk = op.apply(omega, side)
+        t = sk.shape[1] // s
+        # Rows of the other class (the partner rows) when perforated.
+        rows = sk.reshape(d // c, c, m, t, s)[:, c - 1 - p]
+        for g in range(t):
+            where = (groups[:, p] == g)[:, None, None] if t > 1 else True
+            np.copyto(out[p], rows[:, :, g], where=where)
     if recovered:
-        out = out - hodlr.apply_contributions(recovered, block, side=side)
-    return out
+        hodlr.apply_contributions(recovered, blocks, cols, out, side)
+    return out.swapaxes(0, 1).reshape(d // 2, 2, m, s)
 
 
 class _DenseDebug:
@@ -267,23 +287,8 @@ def _regression_residual_ok(psi_t_q, X, Z):
     return bool(np.all((scale == 0.0) | (resid <= STRUCTURE_TOL * scale)))
 
 
-def _gather(even, odd, rows, groups, s):
-    """Sketch blocks of a level as a (d/2, 2, m, s) stack, indexed by sibling
-    pair and place in the pair: block j = 2a + b is column group
-    ``groups[j]`` of row block ``rows[j]`` of the sketch ``even`` (b = 0) or
-    ``odd`` (b = 1), with d = len(rows) row blocks of m rows.  Partners are
-    the two blocks of a pair, so ``stack[:, ::-1]`` is the partner view."""
-    d = len(rows)
-    n, w = even.shape
-    out = np.empty((d // 2, 2, n // d, s))
-    for b, sk in enumerate((even, odd)):
-        blocks = sk.reshape(d, n // d, w // s, s)
-        out[:, b] = blocks[rows[b::2], :, groups[b::2]]
-    return out
-
-
 def _pairs(blocks):
-    """(d/2, 2, m, s) view of a (d, m, s) stack, as ``_gather`` lays out."""
+    """(d/2, 2, m, s) view of a (d, m, s) stack, by sibling pair."""
     return blocks.reshape((-1, 2) + blocks.shape[1:])
 
 
@@ -297,26 +302,25 @@ def _range_sketch(op, recovered, config, ell, debug):
     right = sketch.sample_rand_perf_gaussian(
         op.n, d, config.s_R, config.t_R, (config.seed, ell, ROLE_RIGHT)
     )
-    sk_plus = residual_sketch(op, recovered, right.assembled_plus, linops.FORWARD)
-    sk_minus = residual_sketch(op, recovered, right.assembled_minus, linops.FORWARD)
-    Y = _gather(sk_plus, sk_minus, np.arange(d) ^ 1, right.cols, config.s_R)
+    Y = residual_sketch(
+        op, recovered, (right.assembled_plus, right.assembled_minus),
+        right.gaussian_blocks.reshape(op.n, config.s_R), right.cols, linops.FORWARD,
+    )
     if debug is not None:
         for j, Y_j in enumerate(Y.reshape(d, -1, config.s_R)):
             debug.check_sketch_noise(d, j, right.cols[j], Y_j, right)
     return Y
 
 
-def _transpose_sketch(op, recovered, plus, minus, cols, s):
+def _transpose_sketch(op, recovered, plus, minus, blocks, cols):
     """Left sketches Z_j of a level's blocks as a (d/2, 2, s, m) stack.
 
     Z_j is the (sigma, j) block of (Psi^-/+)^T A^(l): the transpose residual
     sketch of the parity opposite to j, with sigma the column group ``cols``
-    gives row block j ^ 1, whose sketch block is Psi_j."""
-    d = len(cols)
-    sk_plus = residual_sketch(op, recovered, plus, linops.TRANSPOSE)
-    sk_minus = residual_sketch(op, recovered, minus, linops.TRANSPOSE)
-    Z = _gather(sk_minus, sk_plus, np.arange(d), cols[np.arange(d) ^ 1], s)
-    return Z.swapaxes(-1, -2)
+    gives row block j ^ 1, whose sketch block Psi_j is row block j ^ 1 of
+    ``blocks``."""
+    Z = residual_sketch(op, recovered, (plus, minus), blocks, cols, linops.TRANSPOSE)
+    return Z[:, ::-1].swapaxes(-1, -2)
 
 
 def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
@@ -328,7 +332,8 @@ def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
         op.n, 1 << ell, config.s_L, config.t_L, (config.seed, ell, ROLE_LEFT)
     )
     Z = _transpose_sketch(
-        op, recovered, left.assembled_plus, left.assembled_minus, left.cols, config.s_L
+        op, recovered, left.assembled_plus, left.assembled_minus,
+        left.gaussian_blocks.reshape(op.n, config.s_L), left.cols,
     )
     Psi = _pairs(left.gaussian_blocks)[:, ::-1]
     stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
@@ -353,7 +358,7 @@ def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
     zetas = sketch.sample_perf_countsketch(d, config.t_L, (config.seed, ell, ROLE_LEFT))
     plus, minus = (sketch.bullet(zeta.entries, stacked) for zeta in zetas)
     # Both selectors share one draw, so either one's cols keys both parities.
-    X = _transpose_sketch(op, recovered, plus, minus, zetas[0].cols, s_R)
+    X = _transpose_sketch(op, recovered, plus, minus, stacked, zetas[0].cols)
     return _project_truncate(bases, X, config.k if truncate else None), True
 
 
@@ -371,23 +376,27 @@ def _project_truncate(Q, X_padded, k):
 
 
 def _gn_leaf_sketch(config, n, L):
-    """Unperforated sum of one more perforated Gaussian family, its column
-    groups and its (d/2, 2, s_L, m) stack of transposed blocks."""
+    """Unperforated sum of one more perforated Gaussian family, its (n, s_L)
+    stack of blocks, their column groups and the (d/2, 2, s_L, m) stack of
+    transposed blocks."""
     fam = sketch.sample_rand_perf_gaussian(
         n, 1 << L, config.s_L, config.t_L, (config.seed, L + 1, ROLE_DIAG)
     )
     psi_t = _pairs(fam.gaussian_blocks).swapaxes(-1, -2)
-    return fam.assembled_plus + fam.assembled_minus, fam.cols, psi_t
+    blocks = fam.gaussian_blocks.reshape(n, config.s_L)
+    return fam.assembled_plus + fam.assembled_minus, blocks, fam.cols, psi_t
 
 
 def _rsvd_leaf_sketch(config, n, L):
-    """Stacked identity, zero-padded to width s_R, under a count sketch; its
-    column groups and the (s_R, m) padded identity every leaf shares."""
+    """Stacked identity, zero-padded to width s_R, under a count sketch; the
+    stack itself, its column groups and the (s_R, m) padded identity every
+    leaf shares."""
     d, m = 1 << L, n >> L
     zeta = sketch.sample_countsketch(d, config.t_L, (config.seed, L + 1, ROLE_DIAG))
     pad_eye = np.zeros((m, config.s_R))
     pad_eye[:, :m] = np.eye(m)
-    return sketch.bullet(zeta.entries, np.tile(pad_eye, (d, 1))), zeta.cols, pad_eye.T
+    blocks = np.tile(pad_eye, (d, 1))
+    return sketch.bullet(zeta.entries, blocks), blocks, zeta.cols, pad_eye.T
 
 
 # variant -> (per-level right-factor step, leaf sketch)
@@ -447,9 +456,9 @@ def run_peel(
     t0 = time.perf_counter()
     f0, r0 = op.counter.snapshot()
     d = 1 << L
-    psi_hat, cols, psi_t = leaf_sketch(config, n, L)
-    sk_diag = residual_sketch(op, recovered, psi_hat, linops.TRANSPOSE)
-    Z = _gather(sk_diag, sk_diag, np.arange(d), cols, config.s_L).swapaxes(-1, -2)
+    psi_hat, blocks, cols, psi_t = leaf_sketch(config, n, L)
+    Z = residual_sketch(op, recovered, (psi_hat,), blocks, cols, linops.TRANSPOSE)
+    Z = Z.swapaxes(-1, -2)
     leaves = lowrank.pinv_solve(psi_t, Z)
     if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
         structure_ok = False

@@ -204,3 +204,40 @@ def test_check_bounds_exit_code_and_output():
     lines = [l for l in r.stdout.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 3
     assert all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "--preset GN1 --k 2 --beta 0.5 fails guarantee validation ("),
+    (("--k", "0"), "--preset GN1 --k 0 --beta 0.5: all parameters must be >= 1"),
+    (("--beta", "0"), "--preset GN1 --k 2 --beta 0.0: beta must be positive"),
+    (("--beta", "2"), "--preset GN1 --k 2 --beta 2.0: s_R=1 below rank k=2"),
+])
+def test_approx_unusable_config_is_a_usage_error(tmp_path, argv, message):
+    # the defaults (GN1, beta = 0.5) fail guarantee validation at any k
+    out = tmp_path / "x.hodlr"
+    args = dict.fromkeys(("--k",), "2")
+    args.update(zip(argv[::2], argv[1::2]))
+    r = run_cli("approx", "--operator", "poisson", "--n", "64", "--out", str(out),
+                *(v for kv in args.items() for v in kv))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"hodlrpeel: error: {message}")
+    if not argv:
+        assert lines[0].endswith("pass --allow-invalid-config to run it anyway")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("approx", "--operator", "poisson", "--n", "64", "--k", "2", "--allow-invalid-config"),
+    ("recover", "--operator", "random-hodlr", "--n", "64", "--k", "2"),
+    ("bench", "recovery", "--n", "64", "--k", "2", "--trials", "1"),
+    ("check-bounds",),
+])
+def test_negative_seed_is_a_usage_error(argv):
+    r = run_cli(*argv, "--seed", "-1")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip().splitlines()[-1].endswith(
+        "error: argument --seed: must be a non-negative integer, got -1"
+    )

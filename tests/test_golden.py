@@ -43,23 +43,23 @@ FINGERPRINT = (
 
 # (operator, preset, truncation) -> digest of hodlr.to_bytes(H)
 PEEL_DIGESTS = {
-    ("poisson", "GN1", "trunc"): "a94cd08e4350ca7734a7bc20520189c5a33c8509ba39024a819d125ee1d2f0f0",
-    ("poisson", "GN1", "full"): "8db7e12bc712cec395d8d43fc7e610f8fd7c1e671b1f3770ac15376594b4021d",
-    ("poisson", "GN2", "trunc"): "73500e198c09fcf7cbfe44c0df3b776376cd2a23529ff13308261cb84d4157f9",
-    ("poisson", "GN2", "full"): "88b73626193cc09f8147527f53f130ef0385de73b3c6d61562a97f3386c4b44c",
-    ("poisson", "RSVD1", "trunc"): "46306dd16b058d3a9d7818f2749447d1fe10fd3d0cc9908506d3b8b0b9cecf61",
-    ("poisson", "RSVD1", "full"): "b12c223831387a42d26f0130217f3a78c713965631bd8a5ba1156b864cf7bdff",
-    ("poisson", "RSVD2", "trunc"): "8a5f9352dbe9dce945886ef1211841a8645bfc8fa6d3f94adf4be7b10ca13b07",
-    ("poisson", "RSVD2", "full"): "74729ea5b21a3775049df826129d5ca061b021ecc83c5cb6e91c9e65aaf09b56",
-    ("exp_hard", "GN2", "trunc"): "bb1225df2652c9ffcae8816e2f1e61f1bee60d97ae7f43790fcb858fc4fdfe6c",
-    ("exp_hard", "GN2", "full"): "a75bfbde8d2d4aa2197b27ef0d45cfc331a962d12f8245cd5ff3096a6ab66382",
-    ("exp_hard", "RSVD1", "trunc"): "0c2a874e4d69c2fbb0010dcd9d4720890c298fa49131a5b42112f6a73dda1a86",
-    ("exp_hard", "RSVD1", "full"): "727aa5913cab25fce3c097f88aa166b973612fde555d3022ebea2fd40fab1d58",
-    ("exp_hard", "RSVD2", "trunc"): "a8f39159fac57d2c6d016a58c77c5eb1f8118f5272f8df4e4f5ce7988e088e1d",
-    ("exp_hard", "RSVD2", "full"): "38967a96ad0549969f91c2e683a410e1bcf005849fe5020fa5f192c5bce5c133",
+    ("poisson", "GN1", "trunc"): "d8cccafbe6180bbe8052275a3e4c533940be1ca3c58fc1dbc095d80605a115b9",
+    ("poisson", "GN1", "full"): "aa306fff46243ec438957b655e3f331491425e612bf7c3e79006555cb27bffd5",
+    ("poisson", "GN2", "trunc"): "c0b320fefac3154b4d00c3a7e159d89e45d9d4f484c8bf6cb545ad2043ad6996",
+    ("poisson", "GN2", "full"): "df82cc8a2807a40756718a12d2b60a91114f11360a2eb81aeb9d76f619e6bed6",
+    ("poisson", "RSVD1", "trunc"): "8ebf2ec37f0eb6b99087509e8b186d57beaf499b3bcff4a1a0c8cc930c21ee29",
+    ("poisson", "RSVD1", "full"): "c17b97aa945f80dc323d3b67cd46562b07a0cffad826cf313633bbf6ab6af9a7",
+    ("poisson", "RSVD2", "trunc"): "1f3482d724e270c8ae49e499b3e6aa77867f05318744861816704df3e3e25449",
+    ("poisson", "RSVD2", "full"): "f2e44a236df3a1831bebd9065f5d9f932a842fe49f28db895a2476025acb7165",
+    ("exp_hard", "GN2", "trunc"): "ec7aed958017a18a75470f1c0272610342d7c0a6f0f787e9b47244d617aec732",
+    ("exp_hard", "GN2", "full"): "ef752bb10a9fd43a7f880236cbdf613a4019fa30b9b12d1e643cfaf4e406e783",
+    ("exp_hard", "RSVD1", "trunc"): "eb7b7bc3348a3304f8f9203b2e800eca108978b6de851f2a3fa5ac079a5af19b",
+    ("exp_hard", "RSVD1", "full"): "f1e7f80bbb3fe7aff33d5ad4fa60338dca3b491f5fe497c3b8b37c9488ed4047",
+    ("exp_hard", "RSVD2", "trunc"): "5f174d895a5ed66d6e324457a6c9abad066b104c1bd1156bc4cfa65a5d4e7464",
+    ("exp_hard", "RSVD2", "full"): "4008841221df6dda3683468a8d698d6b2c6ae4e6846902fdfdf0b5764b3a6a34",
 }
-RECOVER_DIGEST = "60dc01898fb9a38cc83674db7677ac857c6f31742df47eef9118d09e718e89da"
-RECOVERY_CSV_DIGEST = "67f943ce0117c5a8f68751076d73c21b07de535eccf064b79ece3e821b105cae"
+RECOVER_DIGEST = "10523e255593b66474a4bfd611eff490c2391fee1681fc9bf276a12e12c24b6c"
+RECOVERY_CSV_DIGEST = "1ea2d013f22c15b4a620a31eb0112353e30d9c47412988523d3c330c867bf3bc"
 
 
 def _fingerprint():

@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodlrpeel import hodlr
+from hodlrpeel import hodlr, sketch
 from hodlrpeel.hodlr import (
     FlopCounter,
     HodlrMatrix,
@@ -17,6 +18,7 @@ from hodlrpeel.hodlr import (
     apply_contributions,
     assemble,
     best_hodlr,
+    block_view,
     fold_depth,
     from_bytes,
     hodlr_apply,
@@ -253,11 +255,9 @@ def assert_close(out, ref):
 @settings(max_examples=90, deadline=None)
 @given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]))
 def test_stacked_kernel_matches_blockwise_products(case, side):
-    H, contribs, X = case
+    H, _, X = case
     assert_close(hodlr_apply(H, X, side=side),
                  blockwise_apply(H.n, H.levels, H.leaves, X, side))
-    assert_close(apply_contributions(contribs, X, side=side),
-                 blockwise_apply(H.n, H.levels, [], X, side))
     K = from_bytes(to_bytes(H))
     assert_close(hodlr_apply(K, X, side=side),
                  blockwise_apply(H.n, H.levels, H.leaves, X, side))
@@ -266,11 +266,9 @@ def test_stacked_kernel_matches_blockwise_products(case, side):
 @settings(max_examples=20, deadline=None)
 @given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]))
 def test_repeated_apply_is_bit_identical(case, side):
-    H, contribs, X = case
+    H, _, X = case
     first = hodlr_apply(H, X, side=side)
     np.testing.assert_array_equal(hodlr_apply(H, X, side=side), first)
-    once = apply_contributions(contribs, X, side=side)
-    np.testing.assert_array_equal(apply_contributions(contribs, X, side=side), once)
 
 
 def test_fold_depth_rule():
@@ -311,6 +309,110 @@ def test_flop_counter_counts_the_fold():
     top = (L - folded) * 4 * n * k * w
     fold = sum(2 * n * (n >> ell) * k for ell in range(L - folded + 1, L + 1))
     assert c.flops == top + fold + 2 * n * (n >> (L - folded)) * w
+
+
+# The peel's recovered-level correction -------------------------------------------
+
+def dense_levels(n, stacks):
+    """The level stacks' blocks as one dense n x n matrix."""
+    D = np.zeros((n, n))
+    for ell, stack in enumerate(stacks, start=1):
+        blocks = block_view(D, ell, 1)
+        blocks += stack.dense().reshape(blocks.shape)
+    return D
+
+
+def read_blocks(products, cols, s):
+    """The blocks a level reads from its sketch products, one at a time:
+    entry i = c a + p, at [p, a], is column group cols[i] of the partner row
+    block i ^ 1 of product p (perforated, c = 2) or of row block i of the one
+    product (c = 1)."""
+    c, d = len(products), len(cols)
+    m = products[0].shape[0] // d
+    out = np.empty((c, d // c, m, s))
+    for i, g in enumerate(cols):
+        row = i ^ 1 if c == 2 else i
+        out[i % c, i // c] = products[i % c][row * m:(row + 1) * m, g * s:(g + 1) * s]
+    return out
+
+
+def level_sketch(rng, kind, leaf, n, d, s, t):
+    """(sketch inputs, (n, s') input blocks, column groups) of a peeling
+    level's sketch, as ``peel`` builds them: a perforated Gaussian family or
+    zero-padded stacked bases under a perforated count sketch (rsvd); for
+    the leaves, the unperforated sum of a Gaussian family or the stacked
+    padded identity under a count sketch."""
+    key = (int(rng.integers(2**31)), 1)
+    m = n // d
+    if kind == "gaussian":
+        fam = sketch.sample_rand_perf_gaussian(n, d, s, t, key)
+        blocks = fam.gaussian_blocks.reshape(n, s)
+        inputs = (fam.assembled_plus, fam.assembled_minus)
+        return (sum(inputs),) if leaf else inputs, blocks, fam.cols
+    if leaf:
+        eye = np.eye(m, max(s, m))
+        blocks = np.tile(eye, (d, 1))
+        zeta = sketch.sample_countsketch(d, t, key)
+        return (sketch.bullet(zeta.entries, blocks),), blocks, zeta.cols
+    ranks = rng.integers(0, s + 1, d)
+    blocks = (rng.standard_normal((d, m, s)) * (np.arange(s) < ranks[:, None, None]))
+    blocks = blocks.reshape(n, s)
+    zetas = sketch.sample_perf_countsketch(d, t, key)
+    return tuple(sketch.bullet(z.entries, blocks) for z in zetas), blocks, zetas[0].cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(mixed_rank_hodlr(w=st.just(1)),
+                   mixed_rank_hodlr(k=st.just(1), L=st.just(6), w=st.just(1))),
+    data=st.data(),
+)
+def test_correction_matches_dense_subtraction_then_gather(case, data):
+    # Level ell = 2..L reads a perforated sketch against levels 1..ell-1;
+    # ell = L + 1 stands for the leaves, an unperforated sketch against all
+    # L levels.  STEP_ENTRIES 1 forces one block per step, so that every
+    # level larger than a block sums over the steps.
+    H, stacks, _ = case
+    n, L = H.n, H.L
+    ell = data.draw(st.integers(2, L + 1), label="ell")
+    kind = data.draw(st.sampled_from(["gaussian", "bases"]), label="kind")
+    side = data.draw(st.sampled_from(["forward", "transpose"]), label="side")
+    t = data.draw(st.sampled_from([1, 2, 4]), label="t")
+    s = data.draw(st.integers(1, 5), label="s")
+    step = data.draw(st.sampled_from([1, 64, hodlr.STEP_ENTRIES]), label="step")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    inputs, blocks, cols = level_sketch(rng, kind, ell > L, n, 1 << min(ell, L), s, t)
+    recovered = stacks[: ell - 1]
+    D = dense_levels(n, recovered)
+    ref = read_blocks([(D if side == "forward" else D.T) @ x for x in inputs],
+                      cols, blocks.shape[1])
+    out = np.zeros(ref.shape)
+    with mock.patch.object(hodlr, "STEP_ENTRIES", step):
+        apply_contributions(recovered, blocks, cols, out, side)
+    assert np.linalg.norm(out + ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("side", ["forward", "transpose"])
+def test_flop_counter_counts_only_the_read_blocks(side, t):
+    # 4 n r s per recovered level for both parities together.  The
+    # whole-sketch product it replaces took 4 n r s t per level and
+    # assembled sketch: 2t times as much for a perforated pair, t times for
+    # the unperforated leaf sketch.
+    n, k, s = 256, 4, 6
+    H = random_hodlr(n, k, stream(2, 9))
+    rng = np.random.default_rng(9)
+    for ell in range(2, H.L + 2):
+        leaf = ell > H.L
+        inputs, blocks, cols = level_sketch(rng, "gaussian", leaf, n, 1 << min(ell, H.L), s, t)
+        recovered = H.stacks[: ell - 1]
+        D = dense_levels(n, recovered)
+        ref = read_blocks([(D if side == "forward" else D.T) @ x for x in inputs], cols, s)
+        out = np.zeros(ref.shape)
+        c = FlopCounter()
+        apply_contributions(recovered, blocks, cols, out, side, counter=c)
+        assert c.flops == (ell - 1) * 4 * n * k * s
+        assert_close(-out, ref)
 
 
 # best_hodlr ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodlrpeel import bench, hodlr, linops, lowrank, peel
+from hodlrpeel import bench, hodlr, linops, lowrank, peel, sketch
 from hodlrpeel.peel import (
     GENERALIZED_NYSTROM,
     RSVD,
@@ -271,27 +271,46 @@ def test_block_factorization_calls_grow_with_levels_not_blocks(variant, monkeypa
 
 # residual_sketch -----------------------------------------------------------------
 
+def perforated_sketch(n, d, s, t, key):
+    """A level's perforated Gaussian sketch as residual_sketch takes it."""
+    fam = sketch.sample_rand_perf_gaussian(n, d, s, t, key)
+    return (fam.assembled_plus, fam.assembled_minus), fam.gaussian_blocks.reshape(n, s), fam.cols
+
+
+def read(products, cols, s):
+    """Block i of the read stack, one at a time: column group cols[i] of the
+    partner row block i ^ 1 of the product with i's parity."""
+    m = products[0].shape[0] // len(cols)
+    return np.stack([
+        products[i % 2][(i ^ 1) * m:((i ^ 1) + 1) * m, g * s:(g + 1) * s]
+        for i, g in enumerate(cols)
+    ]).reshape(-1, 2, m, s)
+
+
 def test_residual_sketch_no_levels_is_plain_apply():
     op, A = hodlr_operator(32, 2, (5,))
-    X = stream(18, 0).standard_normal((32, 3))
+    inputs, blocks, cols = perforated_sketch(32, 4, 3, 2, (18, 0))
     np.testing.assert_array_equal(
-        residual_sketch(op, [], X, linops.FORWARD), A @ X
+        residual_sketch(op, [], inputs, blocks, cols, linops.FORWARD),
+        read([A @ x for x in inputs], cols, 3),
     )
 
 
 def test_residual_sketch_exact_levels_cancel():
     n, k = 32, 2
     H = hodlr.random_hodlr(n, k, stream(18, 1))
-    # an operator equal to the off-diagonal part of H (leaves zeroed)
+    # an operator equal to the off-diagonal part of H (leaves zeroed), and
+    # the leaves' unperforated sketch against every level
     H0 = hodlr.HodlrMatrix(n=n, k=k, stacks=H.stacks, leaves=np.zeros_like(H.leaves))
     op = linops.make_dense_operator(H0.to_dense())
-    X = stream(18, 2).standard_normal((n, 2))
-    out = residual_sketch(op, H.stacks, X, linops.FORWARD)
-    assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(H0.to_dense() @ X)
+    inputs, blocks, cols = perforated_sketch(n, 1 << H.L, 2, 1, (18, 2))
+    for side in (linops.FORWARD, linops.TRANSPOSE):
+        out = residual_sketch(op, H.stacks, (sum(inputs),), blocks, cols, side)
+        assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(H0.to_dense() @ blocks)
 
 
 def test_residual_sketch_matches_dense_subtraction():
-    n, k = 64, 2
+    n, k, s, t = 64, 2, 3, 2
     op, A = hodlr_operator(n, k, (6,))
     H = hodlr.random_hodlr(n, k, stream(18, 3))
     lvl = np.zeros((n, n))
@@ -299,12 +318,12 @@ def test_residual_sketch_matches_dense_subtraction():
     for j, f in enumerate(H.levels[0]):
         r = hodlr.partner(j)
         lvl[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
-    X = stream(18, 4).standard_normal((n, 3))
-    out = residual_sketch(op, H.stacks[:1], X, linops.TRANSPOSE)
-    ref = (A - lvl).T @ X
+    inputs, blocks, cols = perforated_sketch(n, 4, s, t, (18, 4))
+    out = residual_sketch(op, H.stacks[:1], inputs, blocks, cols, linops.TRANSPOSE)
+    ref = read([(A - lvl).T @ x for x in inputs], cols, s)
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
-    # only the op query hits the counter
-    assert op.counter.transpose_count == 3
+    # only the op queries hit the counter: both assembled sketches
+    assert op.counter.transpose_count == 2 * s * t
 
 
 def test_counter_untouched_by_recovered_level_products():
