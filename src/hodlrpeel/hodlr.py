@@ -263,15 +263,16 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
 
     The rows of each class go in steps of ``STEP_ENTRIES`` entries, which
     every level visits in turn while they are in cache.  A level whose
-    factors fit in a step is done there; with a single group, a larger one
-    sums its contractions over the steps and maps them in a second pass.
+    factors fit in a step is done there.  A larger one sums its contractions
+    over the steps and maps them in a second pass; that needs a single
+    group, so with several groups one step takes all the rows.
     """
     c, _, m, s = out.shape
     n = blocks.shape[0]
     rows = n // c  # per class
     fwd = side == "forward"
     groups = cols.reshape(-1, c).T
-    one_group = not np.any(cols)
+    one_group = not np.any(cols)  # t = 1, or every block drawn into group 0
     step = m
     while 2 * step <= rows and (2 * step * c * s <= STEP_ENTRIES or not one_group):
         step *= 2
@@ -316,13 +317,11 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
                 P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
             np.matmul(E[:, x0:x1].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
             acc[:, x0:x1] -= res
-    if any(W is not None for *_, W in levels):
-        for x0 in range(0, rows, step):
-            x1 = x0 + step
-            for r, K, C, E, W in levels:
-                if W is not None:
-                    np.matmul(E[:, x0:x1], W[:, x0 // K], out=res)
-                    acc[:, x0:x1] -= res
+    summed = [(K, E, W) for r, K, C, E, W in levels if W is not None]
+    for x0 in range(0, rows, step) if summed else ():
+        for K, E, W in summed:
+            np.matmul(E[:, x0 : x0 + step], W[:, x0 // K], out=res)
+            acc[:, x0 : x0 + step] -= res
 
 
 def _group_sums(P, grp):

@@ -1,8 +1,8 @@
 """Randomized peeling for HODLR approximation.
 
 ``run_peel`` recovers the off-diagonal low-rank blocks level by level and
-the leaf diagonals last, subtracting already-recovered levels from every
-fresh sketch.  Every level takes its range bases from a perforated right
+the leaf diagonals last, subtracting already-recovered levels from the
+blocks it reads of every fresh sketch.  Every level takes its range bases from a perforated right
 sketch; the variant named by ``PeelConfig.variant`` supplies only the
 level's right-factor step and the leaf sketch:
 
@@ -17,8 +17,17 @@ Query costs are deterministic: 2 L s_R t_R forward products and
 from the stacked bases, zero-padded so the count never depends on realized
 ranks).
 
+A level reads only some blocks of each sketch product: a perforated sketch
+holds the Gaussian blocks of one parity, and block j's sketch is the partner
+row block j ^ 1 in j's column group.  ``residual_sketch`` reads those blocks
+straight from each operator product and subtracts the already-recovered
+levels from them alone, computed from the family's input blocks rather than
+from its assembled n x s t sketches (``hodlr.apply_contributions``): 4 n r s
+flops per recovered level for both parities, where the whole products
+would take 8 n r s t.
+
 Each level factors its 2^l blocks together: the blocks' sketches are
-gathered into (2^(l-1), 2, m, s) stacks of sibling pairs and go through one
+read into (2^(l-1), 2, m, s) stacks of sibling pairs and go through one
 stacked ``lowrank`` call per step (orth, regression, truncation), so the
 number of LAPACK calls grows with the number of levels, not of blocks.  The
 factored stack is what the recovered HODLR matrix stores for the level.  A

@@ -392,13 +392,16 @@ def test_correction_matches_dense_subtraction_then_gather(case, data):
     assert np.linalg.norm(out + ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("step", [1, hodlr.STEP_ENTRIES])
 @pytest.mark.parametrize("t", [1, 2, 4])
 @pytest.mark.parametrize("side", ["forward", "transpose"])
-def test_flop_counter_counts_only_the_read_blocks(side, t):
+def test_flop_counter_counts_only_the_read_blocks(side, t, step, monkeypatch):
     # 4 n r s per recovered level for both parities together.  The
     # whole-sketch product it replaces took 4 n r s t per level and
     # assembled sketch: 2t times as much for a perforated pair, t times for
-    # the unperforated leaf sketch.
+    # the unperforated leaf sketch.  One block per step makes every level
+    # larger than a block sum over the steps.
+    monkeypatch.setattr(hodlr, "STEP_ENTRIES", step)
     n, k, s = 256, 4, 6
     H = random_hodlr(n, k, stream(2, 9))
     rng = np.random.default_rng(9)

@@ -310,20 +310,23 @@ def test_residual_sketch_exact_levels_cancel():
 
 
 def test_residual_sketch_matches_dense_subtraction():
+    # level 3 of n = 64 against levels 1 and 2, both sides
     n, k, s, t = 64, 2, 3, 2
     op, A = hodlr_operator(n, k, (6,))
     H = hodlr.random_hodlr(n, k, stream(18, 3))
     lvl = np.zeros((n, n))
-    m = n >> 1
-    for j, f in enumerate(H.levels[0]):
-        r = hodlr.partner(j)
-        lvl[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
-    inputs, blocks, cols = perforated_sketch(n, 4, s, t, (18, 4))
-    out = residual_sketch(op, H.stacks[:1], inputs, blocks, cols, linops.TRANSPOSE)
-    ref = read([(A - lvl).T @ x for x in inputs], cols, s)
-    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
-    # only the op queries hit the counter: both assembled sketches
-    assert op.counter.transpose_count == 2 * s * t
+    for ell, factors in enumerate(H.levels[:2], start=1):
+        m = n >> ell
+        for j, f in enumerate(factors):
+            r = hodlr.partner(j)
+            lvl[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
+    inputs, blocks, cols = perforated_sketch(n, 8, s, t, (18, 4))
+    for side, M in ((linops.FORWARD, A - lvl), (linops.TRANSPOSE, (A - lvl).T)):
+        out = residual_sketch(op, H.stacks[:2], inputs, blocks, cols, side)
+        ref = read([M @ x for x in inputs], cols, s)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    # only the op queries hit the counter: both assembled sketches per side
+    assert op.counter.snapshot() == (2 * s * t, 2 * s * t)
 
 
 def test_counter_untouched_by_recovered_level_products():
