@@ -325,9 +325,9 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
 
 
 def _group_sums(P, grp):
-    """Contractions P (c, p, 2, u, r, s) of single input blocks, each already
+    """Contractions P (c, a, 2, u, r, s) of single input blocks, each already
     in the slot of the partner pair that reads it, summed per column group
-    of the input blocks; output block (c, p, 2, u) of a slot takes the sum
+    of the input blocks; output block (c, a, 2, u) of a slot takes the sum
     of its own group ``grp``."""
     t = int(grp.max()) + 1
     slots = t * np.arange(grp.size // grp.shape[-1]).reshape(grp.shape[:-1] + (1,))

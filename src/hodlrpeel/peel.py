@@ -2,9 +2,9 @@
 
 ``run_peel`` recovers the off-diagonal low-rank blocks level by level and
 the leaf diagonals last, subtracting already-recovered levels from the
-blocks it reads of every fresh sketch.  Every level takes its range bases from a perforated right
-sketch; the variant named by ``PeelConfig.variant`` supplies only the
-level's right-factor step and the leaf sketch:
+blocks it reads of every fresh sketch.  Every level takes its range bases
+from a perforated right sketch; the variant named by ``PeelConfig.variant``
+supplies only the level's right-factor step and the leaf sketch:
 
 * ``generalized_nystrom`` — right factor from a sketched regression against
   an independent perforated left sketch; leaves from one more perforated
