@@ -119,12 +119,11 @@ def _cmd_approx(args):
             f" validation ({'; '.join(violations)}); pass --allow-invalid-config to"
             " run it anyway"
         )
-    H, report = peel.run_peel(
-        op,
-        config,
-        truncate=not args.no_truncate,
-        allow_invalid=args.allow_invalid_config,
-    )
+    try:
+        H, report = peel.run_peel(op, config, truncate=not args.no_truncate,
+                                  allow_invalid=args.allow_invalid_config)
+    except linops.NonFiniteOutputError as exc:
+        _usage_error(str(exc))
     if op.n <= linops.DESK_SCALE_LIMIT:
         A = op.materialize()
         report.final_error = float(np.linalg.norm(A - H.to_dense()))
@@ -142,6 +141,8 @@ def _cmd_recover(args):
     except peel.StructureViolationError as exc:
         print(f"structure violation: {exc}", file=sys.stderr)
         return 2
+    except linops.NonFiniteOutputError as exc:
+        _usage_error(str(exc))
     if args.out:
         hodlr.save(H, args.out)
         print(f"wrote {args.out}")

@@ -190,34 +190,6 @@ class FlopCounter:
         self.flops += 2 * a * b * c
 
 
-def _apply_levels(stacks, X, out, side, counter):
-    """Add the product of each level stack with the (n, w) block X into
-    ``out`` in place.  X and ``out`` must be C-contiguous, so that their
-    per-level (d, m, w) reshapes are views.
-
-    Forward, factor j maps column block j into row block partner(j) = j ^ 1;
-    transpose, it maps row block j ^ 1 back into column block j.
-    """
-    w = X.shape[1]
-    for stack in stacks:
-        Qs, Xs = stack.Q, stack.X
-        d, m, r = Qs.shape
-        if r == 0:
-            continue
-        Xb = X.reshape(d, m, w)
-        acc = out.reshape(d, m, w)
-        if side == "forward":
-            res = Qs @ (Xs @ Xb)
-            acc[0::2] += res[1::2]
-            acc[1::2] += res[0::2]
-        else:
-            perm = np.arange(d) ^ 1
-            acc += Xs.transpose(0, 2, 1) @ (Qs.transpose(0, 2, 1) @ Xb[perm])
-        if counter is not None:
-            counter.add(d * r, m, w)
-            counter.add(d * m, r, w)
-
-
 # Input and output entries, over the classes, that ``apply_contributions``
 # takes per step: 2^16 (512 KiB), so that a step's rows stay in cache
 # across the levels.
@@ -239,19 +211,23 @@ def _row_classes(F, m, c, swap, reverse):
 
 
 def apply_contributions(contribs, blocks, cols, out, side="forward", counter=None):
-    """Subtract from ``out``, in place, the recovered level stacks' share of
-    the sketch blocks a peeling level reads.
+    """Subtract from ``out``, in place, the level stacks' product with the
+    input blocks at the entries ``out`` holds: the sketch blocks a peeling
+    level reads, or all of ``hodlr_apply``'s product with its unfolded levels.
 
-    The level cuts n rows into d blocks of m rows.  Input block i is row block
-    i of ``blocks`` (n, s), placed in column group ``cols[i]`` of its sketch.
-    ``out`` is a C-contiguous (c, d/c, m, s) stack, one entry per input block
-    i = c a + p, at ``out[p, a]``:
+    ``out`` cuts n rows into d blocks of m rows, m no larger than any level's
+    blocks.  Input block i is row block i of ``blocks`` (n, s), placed in
+    column group ``cols[i]`` of its sketch.  ``out`` is a C-contiguous
+    (c, d/c, m, s) stack, one entry per input block i = c a + p, at
+    ``out[p, a]``:
 
     * c = 2, perforated: the sketch of parity p holds the blocks i of parity
       p, and ``out[p, a]`` is the partner row block i ^ 1, column group
       ``cols[i]``, of the levels' product with it;
     * c = 1, unperforated: one sketch holds every block, and ``out[0, i]`` is
-      row block i, column group ``cols[i]``.
+      row block i, column group ``cols[i]``.  With every ``cols[i]`` zero
+      this is the full n x s product: the peel's leaf sketch, and
+      ``hodlr_apply``, whose ``blocks`` = -X make the subtraction add.
 
     Only the blocks that feed those entries are multiplied.  In each class a
     factor J of a level contracts its side of the product (X_J forward,
@@ -324,6 +300,11 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
             acc[:, x0 : x0 + step] -= res
 
 
+# hodlr_apply's name for the kernel: a wrapper installed on
+# ``apply_contributions`` (the span tracer's) sees only the peel's calls.
+_subtract_levels = apply_contributions
+
+
 def _group_sums(P, grp):
     """Contractions P (c, a, 2, u, r, s) of single input blocks, each already
     in the slot of the partner pair that reads it, summed per column group
@@ -351,11 +332,15 @@ def fold_depth(n: int, k: int, w: int) -> int:
 def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     """Fast product H @ X (or H^T @ X); O(n k L b) arithmetic for b columns.
 
-    The top L - c levels are applied from their factors; the leaves and the
-    bottom c = ``fold_depth`` levels are folded, per call, into dense
-    diagonal blocks and applied with one stacked matmul.
+    The leaves and the bottom c = ``fold_depth`` levels are folded, per call,
+    into dense D x D diagonal blocks and applied with one stacked matmul.  The
+    top L - c levels are applied from their factors by the peel's subtraction
+    kernel (``apply_contributions``) in its unperforated form, with the
+    D-row blocks of the folded product as its output blocks.
     """
     X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim not in (1, 2):
+        raise StructureError(f"need a vector or an (n, w) block, got shape {X.shape}")
     squeeze = X.ndim == 1
     if squeeze:
         X = X[:, None]
@@ -367,10 +352,11 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     g, D, _ = S.shape
     Xb = X.reshape(g, D, w)
     out = S @ Xb if side == "forward" else S.transpose(0, 2, 1) @ Xb
-    out = out.reshape(H.n, w)
     if counter is not None:
         counter.add(g * D, D, w)
-    _apply_levels(H.stacks[: H.L - c], X, out, side, counter)
+    _subtract_levels(H.stacks[: H.L - c], -X, np.zeros(g, int), out.reshape(1, g, D, w),
+                     side, counter)
+    out = out.reshape(H.n, w)
     return out[:, 0] if squeeze else out
 
 

@@ -70,7 +70,9 @@ class LinearOperator:
                 f"expected a block with {self.n} rows, got shape {X.shape}"
             )
         fn = self._forward if side == FORWARD else self._transpose
-        out = np.asarray(fn(X), dtype=float)
+        # An overflowing product raises NonFiniteOutputError below, not warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(fn(X), dtype=float)
         if out.shape != X.shape:
             raise DimensionError(
                 f"operator returned shape {out.shape} for input {X.shape}"
@@ -224,7 +226,7 @@ def make_exp_hard_instance(L: int, eta: float) -> LinearOperator:
 # CSV interchange for point clouds and small dense matrices.
 
 def load_points_csv(path) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", ndmin=2)
+    pts = load_dense_csv(path)
     if pts.shape[1] != 3:
         raise DimensionError(f"expected x,y,z rows in {path}, got {pts.shape[1]} cols")
     return pts
@@ -235,4 +237,7 @@ def save_dense_csv(M, path) -> None:
 
 
 def load_dense_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or ragged rows
+        raise DimensionError(f"{path} is not a numeric CSV table: {exc}") from None

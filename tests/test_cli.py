@@ -105,6 +105,48 @@ def test_missing_input_file_is_a_usage_error(tmp_path, command, operator, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["approx", "recover"])
+@pytest.mark.parametrize("operator, flag, text, reason", [
+    ("dense", "--in", "1,2\nfoo,3\n", "could not convert string 'foo'"),
+    ("kernel", "--points", "0,0,0\n1,1\n", "the number of columns changed from 3 to 2"),
+])
+def test_malformed_input_file_is_a_usage_error(tmp_path, command, operator, flag, text, reason):
+    src, out = tmp_path / "bad.csv", tmp_path / "x.hodlr"
+    src.write_text(text)
+    r = run_cli(command, "--operator", operator, flag, str(src), "--k", "1",
+                "--out", str(out))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"hodlrpeel: error: --operator {operator}: {src} is not a numeric CSV table: "
+    )
+    assert reason in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("approx", "--allow-invalid-config"), ("recover",)])
+@pytest.mark.parametrize("nan", [True, False])
+def test_non_finite_operator_output_is_a_cli_error(tmp_path, argv, nan):
+    # one NaN entry, or finite entries of 1e308 whose first seeded product
+    # overflows
+    A = np.eye(16)
+    if nan:
+        A[3, 5] = np.nan
+    else:
+        A[:] = 1e308
+    src, out = tmp_path / "a.csv", tmp_path / "x.hodlr"
+    linops.save_dense_csv(A, src)
+    r = run_cli(argv[0], "--operator", "dense", "--in", str(src), "--k", "1",
+                "--out", str(out), *argv[1:])
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("hodlrpeel: error: dense: forward product of a block of width")
+    assert lines[0].endswith(" non-finite entries")
+    assert not out.exists()
+
+
 def test_bench_writes_csv_and_stamp(tmp_path):
     out = tmp_path / "rec.csv"
     r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", "2",

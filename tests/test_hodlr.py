@@ -253,14 +253,50 @@ def assert_close(out, ref):
 
 
 @settings(max_examples=90, deadline=None)
-@given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]))
-def test_stacked_kernel_matches_blockwise_products(case, side):
+@given(case=apply_cases, side=st.sampled_from(["forward", "transpose"]),
+       step=st.sampled_from([1, 64, hodlr.STEP_ENTRIES]))
+def test_stacked_kernel_matches_blockwise_products(case, side, step):
+    # STEP_ENTRIES 1 and 64 cut the unfolded levels' rows into several steps,
+    # so that the levels larger than a step are summed over the steps
     H, _, X = case
-    assert_close(hodlr_apply(H, X, side=side),
-                 blockwise_apply(H.n, H.levels, H.leaves, X, side))
-    K = from_bytes(to_bytes(H))
-    assert_close(hodlr_apply(K, X, side=side),
-                 blockwise_apply(H.n, H.levels, H.leaves, X, side))
+    ref = blockwise_apply(H.n, H.levels, H.leaves, X, side)
+    with mock.patch.object(hodlr, "STEP_ENTRIES", step):
+        assert_close(hodlr_apply(H, X, side=side), ref)
+        assert_close(hodlr_apply(from_bytes(to_bytes(H)), X, side=side), ref)
+
+
+@pytest.mark.parametrize("side", ["forward", "transpose"])
+def test_apply_of_a_vector_and_of_no_columns(side):
+    # one column folds only level 5 of 5 here: levels 1-4 go through the kernel
+    H = random_hodlr(64, 2, stream(2, 9))
+    x = stream(2, 10).standard_normal(64)
+    out = hodlr_apply(H, x, side=side)
+    assert out.shape == (64,)
+    assert_close(out, blockwise_apply(64, H.levels, H.leaves, x[:, None], side)[:, 0])
+    np.testing.assert_array_equal(out, hodlr_apply(H, x[:, None], side=side)[:, 0])
+    assert hodlr_apply(H, np.empty((64, 0)), side=side).shape == (64, 0)
+
+
+def test_apply_rejects_inputs_of_other_ranks():
+    H = random_hodlr(16, 2, stream(2, 11))
+    for shape in ((16, 2, 3), (16, 1, 1, 1)):
+        with pytest.raises(StructureError, match=r"vector or an \(n, w\) block"):
+            hodlr_apply(H, np.ones(shape))
+
+
+def test_apply_reaches_the_kernel_without_the_peel_entry(monkeypatch):
+    # a span tracer wraps hodlr.apply_contributions to time the peel's
+    # subtraction, so hodlr_apply must not look that attribute up
+    H = random_hodlr(256, 4, stream(2, 12))
+    X = stream(2, 13).standard_normal((256, 3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hodlr_apply called hodlr.apply_contributions")
+
+    monkeypatch.setattr(hodlr, "apply_contributions", refuse)
+    assert fold_depth(256, 4, 3) < level_count(256, 4)
+    for side in ("forward", "transpose"):
+        assert_close(hodlr_apply(H, X, side=side), blockwise_apply(256, H.levels, H.leaves, X, side))
 
 
 @settings(max_examples=20, deadline=None)
