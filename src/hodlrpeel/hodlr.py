@@ -227,7 +227,7 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     * c = 1, unperforated: one sketch holds every block, and ``out[0, i]`` is
       row block i, column group ``cols[i]``.  With every ``cols[i]`` zero
       this is the full n x s product: the peel's leaf sketch, and
-      ``hodlr_apply``, whose ``blocks`` = -X make the subtraction add.
+      ``hodlr_apply``, which negates ``out`` before and after the call.
 
     Only the blocks that feed those entries are multiplied.  In each class a
     factor J of a level contracts its side of the product (X_J forward,
@@ -354,8 +354,11 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     out = S @ Xb if side == "forward" else S.transpose(0, 2, 1) @ Xb
     if counter is not None:
         counter.add(g * D, D, w)
-    _subtract_levels(H.stacks[: H.L - c], -X, np.zeros(g, int), out.reshape(1, g, D, w),
+    # The kernel subtracts: run it on -out rather than on a copy -X.
+    np.negative(out, out=out)
+    _subtract_levels(H.stacks[: H.L - c], X, np.zeros(g, int), out.reshape(1, g, D, w),
                      side, counter)
+    np.negative(out, out=out)
     out = out.reshape(H.n, w)
     return out[:, 0] if squeeze else out
 
