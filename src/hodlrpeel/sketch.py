@@ -6,9 +6,9 @@ selector with one nonzero per row (CountSketch), its parity-masked pair, and
 the randomly perforated Gaussian family assembled from both.
 
 The samplers take their randomness as a stream key (seed, *key), the key
-under which ``rng.stream`` names a stream, and build their generators from
-it themselves.  A key is an immutable value, so sampling twice from the same
-key draws the same bits.
+under which ``rng.stream`` names a stream, and draw from its child streams
+themselves; a family's Gaussian blocks are seeded in one batch.  A key is an
+immutable value, so sampling twice from the same key draws the same bits.
 
 Block indices are 0-based in code; a block row is "odd" in the 1-based sense
 of the sketch layout exactly when its 0-based index is even.  The plus family
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import fill_normal_blocks, stream
 
 
 def block_is_plus(i: int) -> bool:
@@ -116,9 +116,7 @@ def sample_rand_perf_gaussian(n, d, s, t, key) -> SketchFamily:
     if s < 1 or t < 1:
         raise ValueError("sketch width and column count must be >= 1")
     plus, minus = sample_perf_countsketch(d, t, (*key, 0))
-    blocks = np.empty((d, n // d, s))
-    for i in range(d):
-        stream(*key, i + 1).standard_normal(out=blocks[i])
+    blocks = fill_normal_blocks(np.empty((d, n // d, s)), *key)
     stacked = blocks.reshape(n, s)
     return SketchFamily(
         selector_plus=plus,
