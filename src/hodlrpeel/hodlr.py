@@ -418,24 +418,27 @@ def _kept_words(ranks, m, r):
 
 
 def to_bytes(H: HodlrMatrix) -> bytes:
-    # Each level's records are one padded array of words, cut to the kept
-    # words (all of them, with no copy, when the level's ranks are equal) and
-    # hashed whole: one hash update per level, not per (possibly tiny) block.
-    chunks = [MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)]
-    for stack in H.stacks:
-        d, m, r = stack.Q.shape
-        words = np.empty((d, 1 + 2 * m * r), dtype="<f8")
-        words.view("<u4")[:, :2] = np.stack([np.arange(d), stack.ranks], axis=1)
-        words[:, 1 : 1 + m * r] = stack.Q.reshape(d, m * r)
-        words[:, 1 + m * r :] = stack.X.reshape(d, r * m)
-        if np.any(stack.ranks < r):
-            words = words[_kept_words(stack.ranks, m, r)]
-        chunks.append(words)
-    chunks.append(np.ascontiguousarray(H.leaves, dtype="<f8"))
-    checksum = hashlib.sha256()
-    for chunk in chunks:
-        checksum.update(chunk)
-    return b"".join(chunks + [checksum.digest()[:8]])
+    # The records of every level go straight into one array of words, which
+    # is hashed once.  A level's blocks of rank rho write their Q and X, cut
+    # to rho, as rows of a view whose rows start at every word of the level.
+    head = MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)
+    widths = [1 + 2 * stack.Q.shape[1] * stack.ranks for stack in H.stacks]
+    ends = np.cumsum([0] + [int(w.sum()) for w in widths])
+    words = np.empty(ends[-1] + H.leaves.size, dtype="<f8")
+    for stack, w, start, end in zip(H.stacks, widths, ends, ends[1:]):
+        d, m = stack.Q.shape[:2]
+        level = words[start:end]
+        first = w.cumsum() - w
+        level.view("<u8")[first] = np.arange(d, dtype="<u8") | stack.ranks.astype("<u8") << 32
+        for rho in np.flatnonzero(np.bincount(stack.ranks)[1:]) + 1:  # the nonzero ranks
+            J = np.flatnonzero(stack.ranks == rho)
+            rows = np.ndarray((len(level) - m * rho + 1, m * rho), "<f8", level, strides=(8, 8))
+            rows[first[J] + 1] = stack.Q[J, :, :rho].reshape(len(J), -1)
+            rows[first[J] + 1 + m * rho] = stack.X[J, :rho].reshape(len(J), -1)
+    words[ends[-1] :] = H.leaves.reshape(-1)
+    checksum = hashlib.sha256(head)
+    checksum.update(words)
+    return b"".join([head, words, checksum.digest()[:8]])
 
 
 def from_bytes(buf: bytes) -> HodlrMatrix:
