@@ -48,8 +48,8 @@ def preset_config(name, k, beta, seed=0) -> peel.PeelConfig:
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be a positive finite number, got {beta}")
     s_R = math.ceil(k / beta)
     inv = math.ceil(1.0 / beta)
     if name == "GN1":

@@ -9,6 +9,7 @@ Subcommands:
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,6 +34,15 @@ def _usage_error(message):
     """Reject invalid arguments the way argparse does: one line, exit code 2."""
     print(f"hodlrpeel: error: {message}", file=sys.stderr)
     raise SystemExit(2)
+
+
+@contextmanager
+def _writing(path):
+    """An output file that cannot be written is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        _usage_error(f"cannot write {exc.filename or path}: {exc.strerror or exc}")
 
 
 def _seed(text):
@@ -128,7 +138,8 @@ def _cmd_approx(args):
         A = op.materialize()
         report.final_error = float(np.linalg.norm(A - H.to_dense()))
     if args.out:
-        hodlr.save(H, args.out)
+        with _writing(args.out):
+            hodlr.save(H, args.out)
         print(f"wrote {args.out}")
     _print_report(report, op.n)
     return 0
@@ -144,7 +155,8 @@ def _cmd_recover(args):
     except linops.NonFiniteOutputError as exc:
         _usage_error(str(exc))
     if args.out:
-        hodlr.save(H, args.out)
+        with _writing(args.out):
+            hodlr.save(H, args.out)
         print(f"wrote {args.out}")
     _print_report(report, op.n)
     return 0
@@ -173,11 +185,12 @@ def _cmd_bench(args):
     except bench.GridError as exc:
         _usage_error(str(exc))
     out = args.out or f"{args.experiment}.csv"
-    bench.emit(rows, out, fmt=args.format)
     settings = {"experiment": args.experiment, "trials": args.trials or "default",
                 "seed": args.seed, "format": args.format, "out": out}
     settings.update({key: ",".join(map(str, val)) for key, val in grid.items()})
-    bench.write_config_stamp(f"{out}.config", args.experiment, settings)
+    with _writing(out):
+        bench.emit(rows, out, fmt=args.format)
+        bench.write_config_stamp(f"{out}.config", args.experiment, settings)
     print(f"wrote {out} ({len(rows)} rows) and {out}.config")
     return 0
 
@@ -191,7 +204,8 @@ def _cmd_check_bounds(args):
               f" trials={c.trials} ({c.detail})")
         failed += 0 if c.passed else 1
     if args.out:
-        bench.emit(bench.bound_rows(checks, args.seed), args.out, fmt="csv")
+        with _writing(args.out):
+            bench.emit(bench.bound_rows(checks, args.seed), args.out, fmt="csv")
         print(f"wrote {args.out}")
     return 1 if failed else 0
 

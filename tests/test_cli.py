@@ -185,6 +185,10 @@ def _bench_case(argv, message):
                 "--k does not apply to exp_hard: the instance fixes k = 1"),
     _bench_case(("recovery", "--beta", "0.5"),
                 "--beta does not apply to recovery: its axes are n, k, variant"),
+    _bench_case(("poisson", "--n", "64", "--k", "2", "--beta", "0.5,nan"),
+                "poisson at n=64, k=2: beta must be a positive finite number, got nan"),
+    _bench_case(("poisson", "--n", "64", "--k", "2", "--beta", "inf"),
+                "poisson at n=64, k=2: beta must be a positive finite number, got inf"),
     _bench_case(("poisson", "--variant", "rsvd"),
                 "--variant does not apply to poisson: its axes are n, k, beta, preset"),
     _bench_case(("bound_checks", "--n", "64"),
@@ -251,8 +255,10 @@ def test_check_bounds_exit_code_and_output():
 @pytest.mark.parametrize("argv, message", [
     ((), "--preset GN1 --k 2 --beta 0.5 fails guarantee validation ("),
     (("--k", "0"), "--preset GN1 --k 0 --beta 0.5: all parameters must be >= 1"),
-    (("--beta", "0"), "--preset GN1 --k 2 --beta 0.0: beta must be positive"),
+    (("--beta", "0"), "--preset GN1 --k 2 --beta 0.0: beta must be a positive finite number"),
     (("--beta", "2"), "--preset GN1 --k 2 --beta 2.0: s_R=1 below rank k=2"),
+    (("--beta", "nan"), "--preset GN1 --k 2 --beta nan: beta must be a positive finite number"),
+    (("--beta", "inf"), "--preset GN1 --k 2 --beta inf: beta must be a positive finite number"),
 ])
 def test_approx_unusable_config_is_a_usage_error(tmp_path, argv, message):
     # the defaults (GN1, beta = 0.5) fail guarantee validation at any k
@@ -282,4 +288,20 @@ def test_negative_seed_is_a_usage_error(argv):
     assert "Traceback" not in r.stderr
     assert r.stderr.strip().splitlines()[-1].endswith(
         "error: argument --seed: must be a non-negative integer, got -1"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("approx", "--operator", "poisson", "--n", "64", "--k", "2", "--allow-invalid-config"),
+    ("recover", "--operator", "random-hodlr", "--n", "64", "--k", "2"),
+    ("bench", "recovery", "--n", "128", "--k", "2", "--trials", "1"),
+    ("check-bounds",),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_a_usage_error(tmp_path, argv):
+    # the run finishes, then its output cannot be written
+    out = tmp_path / "missing" / "x.out"
+    r = run_cli(*argv, "--out", str(out))
+    assert r.returncode == 2
+    assert r.stderr.strip() == (
+        f"hodlrpeel: error: cannot write {out}: No such file or directory"
     )
