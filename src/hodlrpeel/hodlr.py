@@ -417,14 +417,16 @@ def _kept_words(ranks, m, r):
     return np.concatenate([ones, np.tile(kept, m), np.repeat(kept, m, axis=1)], axis=1)
 
 
-def to_bytes(H: HodlrMatrix) -> bytes:
-    # The records of every level go straight into one array of words, which
-    # is hashed once.  A level's blocks of rank rho write their Q and X, cut
-    # to rho, as rows of a view whose rows start at every word of the level.
+def to_bytes(H: HodlrMatrix) -> bytearray:
+    # The container is written in place into one buffer and hashed once.  A
+    # level's blocks of rank rho write their Q and X, cut to rho, as rows of a
+    # view of the level whose rows start at every word.
     head = MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)
     widths = [1 + 2 * stack.Q.shape[1] * stack.ranks for stack in H.stacks]
     ends = np.cumsum([0] + [int(w.sum()) for w in widths])
-    words = np.empty(ends[-1] + H.leaves.size, dtype="<f8")
+    buf = bytearray(len(head) + 8 * (ends[-1] + H.leaves.size) + 8)
+    buf[: len(head)] = head
+    words = np.frombuffer(buf, "<f8", count=ends[-1] + H.leaves.size, offset=len(head))
     for stack, w, start, end in zip(H.stacks, widths, ends, ends[1:]):
         d, m = stack.Q.shape[:2]
         level = words[start:end]
@@ -436,9 +438,8 @@ def to_bytes(H: HodlrMatrix) -> bytes:
             rows[first[J] + 1] = stack.Q[J, :, :rho].reshape(len(J), -1)
             rows[first[J] + 1 + m * rho] = stack.X[J, :rho].reshape(len(J), -1)
     words[ends[-1] :] = H.leaves.reshape(-1)
-    checksum = hashlib.sha256(head)
-    checksum.update(words)
-    return b"".join([head, words, checksum.digest()[:8]])
+    buf[-8:] = hashlib.sha256(memoryview(buf)[:-8]).digest()[:8]
+    return buf
 
 
 def from_bytes(buf: bytes) -> HodlrMatrix:

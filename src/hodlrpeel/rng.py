@@ -61,12 +61,11 @@ def fill_normal_blocks(out: np.ndarray, seed: int, *key: int) -> np.ndarray:
     hashed = np.bitwise_xor(np.tile(mixed, (2, 1)), c_out[:8], out=state.T)
     hashed *= c_out[1:]
     hashed ^= np.right_shift(hashed, 16, out=tmp)
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
+    gen = np.random.default_rng(0)
     for block, (s_hi, s_lo, i_hi, i_lo) in zip(out, state.view("<u8").tolist()):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
         pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % (1 << 128)
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
         gen.standard_normal(out=block)
     return out
