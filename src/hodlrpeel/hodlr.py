@@ -418,9 +418,8 @@ def _kept_words(ranks, m, r):
 
 
 def to_bytes(H: HodlrMatrix) -> bytearray:
-    # The container is written in place into one buffer and hashed once.  A
-    # level's blocks of rank rho write their Q and X, cut to rho, as rows of a
-    # view of the level whose rows start at every word.
+    # Written in place into one buffer and hashed once.  A level's blocks of rank
+    # rho write Q and X, cut to rho, as rows of a view whose rows start at every word.
     head = MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)
     widths = [1 + 2 * stack.Q.shape[1] * stack.ranks for stack in H.stacks]
     ends = np.cumsum([0] + [int(w.sum()) for w in widths])
@@ -434,9 +433,10 @@ def to_bytes(H: HodlrMatrix) -> bytearray:
         level.view("<u8")[first] = np.arange(d, dtype="<u8") | stack.ranks.astype("<u8") << 32
         for rho in np.flatnonzero(np.bincount(stack.ranks)[1:]) + 1:  # the nonzero ranks
             J = np.flatnonzero(stack.ranks == rho)
+            at, J = first[J] + 1, (J if len(J) < d else slice(None))  # every block: views
             rows = np.ndarray((len(level) - m * rho + 1, m * rho), "<f8", level, strides=(8, 8))
-            rows[first[J] + 1] = stack.Q[J, :, :rho].reshape(len(J), -1)
-            rows[first[J] + 1 + m * rho] = stack.X[J, :rho].reshape(len(J), -1)
+            rows[at] = stack.Q[J, :, :rho].reshape(len(at), -1)
+            rows[at + m * rho] = stack.X[J, :rho].reshape(len(at), -1)
     words[ends[-1] :] = H.leaves.reshape(-1)
     buf[-8:] = hashlib.sha256(memoryview(buf)[:-8]).digest()[:8]
     return buf
@@ -453,7 +453,7 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
     """
     if len(buf) < len(MAGIC) + 20 + 8:
         raise SerializationError("truncated HODLR container")
-    payload, checksum = buf[:-8], buf[-8:]
+    payload, checksum = memoryview(buf)[:-8], buf[-8:]
     if hashlib.sha256(payload).digest()[:8] != checksum:
         raise SerializationError("checksum mismatch")
     if payload[: len(MAGIC)] != MAGIC:
