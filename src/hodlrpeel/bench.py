@@ -50,16 +50,18 @@ def preset_config(name, k, beta, seed=0) -> peel.PeelConfig:
         raise ValueError(f"unknown preset {name!r}")
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be a positive finite number, got {beta}")
-    s_R = math.ceil(k / beta)
-    inv = math.ceil(1.0 / beta)
+    try:  # beta**2 underflows to 0, or overflows, at extreme beta
+        s_R, s_L, inv = math.ceil(k / beta), math.ceil(k / beta**2), math.ceil(1.0 / beta)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"beta must give finite widths k/beta and k/beta**2, got {beta}") from None
     if name == "GN1":
         return peel.PeelConfig(
-            k=k, s_R=s_R, t_R=1, s_L=math.ceil(k / beta**2), t_L=1,
+            k=k, s_R=s_R, t_R=1, s_L=s_L, t_L=1,
             variant=peel.GENERALIZED_NYSTROM, seed=seed, beta=beta,
         )
     if name == "GN2":
         return peel.PeelConfig(
-            k=k, s_R=s_R, t_R=inv, s_L=math.ceil(k / beta**2), t_L=1,
+            k=k, s_R=s_R, t_R=inv, s_L=s_L, t_L=1,
             variant=peel.GENERALIZED_NYSTROM, seed=seed, beta=beta,
         )
     if name == "RSVD1":

@@ -61,6 +61,8 @@ class LinearOperator:
     def apply(self, X, side: str = FORWARD) -> np.ndarray:
         if side not in (FORWARD, TRANSPOSE):
             raise ValueError(f"unknown side {side!r}")
+        if np.iscomplexobj(X):
+            raise DimensionError(f"{self.name}: need a real block, got dtype {X.dtype}")
         X = np.asarray(X, dtype=float)
         squeeze = X.ndim == 1
         if squeeze:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_preset_expansion_matches_table_rules():
         assert r1.variant == peel.RSVD
         r2 = preset_config("RSVD2", k, beta)
         assert (r2.s_R, r2.t_R, r2.s_L, r2.t_L) == (s_R, inv, s_R, inv)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e200])
+@pytest.mark.parametrize("name", ["GN1", "GN2", "RSVD1", "RSVD2"])
+def test_preset_rejects_beta_with_non_finite_widths(name, beta):
+    # beta**2 underflows to 0 (a ZeroDivisionError), makes k / beta**2
+    # infinite (an OverflowError from ceil) or overflows itself
+    message = f"beta must give finite widths k/beta and k/beta**2, got {beta}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        preset_config(name, 4, beta)
 
 
 def test_preset_rejects_unknown_name():

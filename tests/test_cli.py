@@ -189,6 +189,9 @@ def _bench_case(argv, message):
                 "poisson at n=64, k=2: beta must be a positive finite number, got nan"),
     _bench_case(("poisson", "--n", "64", "--k", "2", "--beta", "inf"),
                 "poisson at n=64, k=2: beta must be a positive finite number, got inf"),
+    _bench_case(("poisson", "--n", "64", "--k", "2", "--beta", "1e-300"),
+                "poisson at n=64, k=2: beta must give finite widths k/beta and k/beta**2,"
+                " got 1e-300"),
     _bench_case(("poisson", "--variant", "rsvd"),
                 "--variant does not apply to poisson: its axes are n, k, beta, preset"),
     _bench_case(("bound_checks", "--n", "64"),
@@ -259,6 +262,9 @@ def test_check_bounds_exit_code_and_output():
     (("--beta", "2"), "--preset GN1 --k 2 --beta 2.0: s_R=1 below rank k=2"),
     (("--beta", "nan"), "--preset GN1 --k 2 --beta nan: beta must be a positive finite number"),
     (("--beta", "inf"), "--preset GN1 --k 2 --beta inf: beta must be a positive finite number"),
+    (("--preset", "GN2", "--k", "4", "--beta", "1e-300"),
+     "--preset GN2 --k 4 --beta 1e-300: beta must give finite widths k/beta and k/beta**2"),
+    (("--beta", "1e-160"), "--preset GN1 --k 2 --beta 1e-160: beta must give finite widths"),
 ])
 def test_approx_unusable_config_is_a_usage_error(tmp_path, argv, message):
     # the defaults (GN1, beta = 0.5) fail guarantee validation at any k

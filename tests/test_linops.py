@@ -47,6 +47,14 @@ def test_dimension_mismatch_rejected():
         op.apply(np.ones((4, 1)), FORWARD)
 
 
+def test_complex_block_rejected_uncounted():
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    op = linops.make_dense_operator(np.eye(3), name="eye")
+    with pytest.raises(linops.DimensionError, match="eye: need a real block, got dtype complex128"):
+        op.apply(np.ones((3, 2)) + 1j, TRANSPOSE)
+    assert op.counter.snapshot() == (0, 0)
+
+
 def test_dense_operator_columns_and_rows():
     M = stream(0, 2).standard_normal((8, 8))
     op = linops.make_dense_operator(M)
