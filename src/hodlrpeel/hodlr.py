@@ -194,20 +194,22 @@ class FlopCounter:
 # takes per step: 2^16 (512 KiB), so that a step's rows stay in cache
 # across the levels.
 STEP_ENTRIES = 1 << 16
+FOLD_ROWS = 32  # block rows that ``fold_depth`` folds whatever the rank
 
 
 def _row_classes(F, m, c, swap, reverse):
-    """Copy of a (e, M, r) stack of factors as (c, e M / c, r): the rows of
-    each factor cut into m-row sub-blocks, class q holding sub-blocks
-    q, q + c, q + 2c, ... of every factor in turn.  ``swap`` takes factor
-    J ^ 1 in place of J, and ``reverse`` lists the classes in reverse order."""
+    """A (e, M, r) stack of factors as (c, e/2, 2, M/c, r), by sibling pair:
+    each factor's m-row sub-blocks q, q + c, q + 2c, ... in class q.  ``swap``
+    takes factor J ^ 1 for J and ``reverse`` reverses the classes.  A view of
+    F for c = 1 (Q, Q pair-swapped or X transposed); for c = 2 a copy, as
+    its layout depends on m."""
     e, M, r = F.shape
     F = F.reshape(e // 2, 2, M // (c * m), c, m, r)
     if swap:
         F = F[:, ::-1]
     if reverse:
         F = F[:, :, :, ::-1]
-    return np.ascontiguousarray(F.transpose(3, 0, 1, 2, 4, 5)).reshape(c, e * M // c, r)
+    return F.transpose(3, 0, 1, 2, 4, 5).reshape(c, e // 2, 2, M // c, r)
 
 
 def apply_contributions(contribs, blocks, cols, out, side="forward", counter=None):
@@ -241,7 +243,9 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     every level visits in turn while they are in cache.  A level whose
     factors fit in a step is done there.  A larger one sums its contractions
     over the steps and maps them in a second pass; that needs a single
-    group, so with several groups one step takes all the rows.
+    group, so with several groups one step takes all the rows.  Steps read
+    the factors by class and sibling pair (``_row_classes``), and the input
+    blocks by class: in place for c = 1, copied on every call for c = 2.
     """
     c, _, m, s = out.shape
     n = blocks.shape[0]
@@ -271,32 +275,34 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
             counter.add(n, r, s)
     if not levels:
         return
-    g = np.empty((c, step, s))
     res = np.empty((c, step, s))
     acc = np.reshape(out, (c, rows, s), copy=False)
+    classes = blocks.reshape(rows // m, c, m, s).swapaxes(0, 1)
     for x0 in range(0, rows, step):
         x1 = x0 + step
-        np.copyto(g.reshape(c, step // m, m, s),
-                  blocks[c * x0 : c * x1].reshape(step // m, c, m, s).swapaxes(0, 1))
+        g = classes[:, x0 // m : x1 // m].reshape(c, step, s)  # a view if c = 1
         for r, K, C, E, W in levels:
             if W is not None:
-                W[:, (x0 // K) ^ 1] += C[:, x0:x1].swapaxes(-1, -2) @ g
+                J, off = divmod(x0, K)
+                W[:, J ^ 1] += C[:, J >> 1, J & 1, off : off + step].swapaxes(-1, -2) @ g
                 continue
             # The step holds whole partner pairs of slots, cut into u pieces
             # of k rows each: one piece per slot, or one per input block.
             u = 1 if one_group else K // m
             k = K // u
+            pairs = slice(x0 // (2 * K), x1 // (2 * K))
             shape = (c, step // (2 * K), 2, u, k)
-            P = C[:, x0:x1].reshape(shape + (r,)).swapaxes(-1, -2) @ g.reshape(shape + (s,))
+            P = C[:, pairs].reshape(shape + (r,)).swapaxes(-1, -2) @ g.reshape(shape + (s,))
             P = P[:, :, ::-1]
             if not one_group:
                 P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
-            np.matmul(E[:, x0:x1].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
+            np.matmul(E[:, pairs].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
             acc[:, x0:x1] -= res
     summed = [(K, E, W) for r, K, C, E, W in levels if W is not None]
     for x0 in range(0, rows, step) if summed else ():
         for K, E, W in summed:
-            np.matmul(E[:, x0 : x0 + step], W[:, x0 // K], out=res)
+            J, off = divmod(x0, K)
+            np.matmul(E[:, J >> 1, J & 1, off : off + step], W[:, J], out=res)
             acc[:, x0 : x0 + step] -= res
 
 
@@ -321,11 +327,11 @@ def _group_sums(P, grp):
 def fold_depth(n: int, k: int, w: int) -> int:
     """How many bottom levels of an (n, k) layout ``hodlr_apply`` folds into
     dense diagonal blocks for a product with w columns: every level whose
-    block size m is at most 4k, where the low-rank form saves little
-    arithmetic and costs one small BLAS call per block, and at most 2w,
+    block size m is at most max(4k, ``FOLD_ROWS``), where the low-rank form
+    saves little arithmetic or costs more in per-block calls, and at most 2w,
     where building a level's dense blocks (2 n m r flops) costs no more than
     applying its factors (4 n r w)."""
-    limit = min(4 * k, 2 * w)
+    limit = min(max(4 * k, FOLD_ROWS), 2 * w)
     return sum((n >> ell) <= limit for ell in range(1, level_count(n, k) + 1))
 
 
@@ -338,6 +344,8 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     kernel (``apply_contributions``) in its unperforated form, with the
     D-row blocks of the folded product as its output blocks.
     """
+    if np.iscomplexobj(X):
+        raise StructureError(f"need a real input, got dtype {X.dtype}")
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim not in (1, 2):
         raise StructureError(f"need a vector or an (n, w) block, got shape {X.shape}")

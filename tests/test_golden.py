@@ -54,12 +54,12 @@ PEEL_DIGESTS = {
     ("exp_hard", "GN2", "trunc"): "ec7aed958017a18a75470f1c0272610342d7c0a6f0f787e9b47244d617aec732",
     ("exp_hard", "GN2", "full"): "ef752bb10a9fd43a7f880236cbdf613a4019fa30b9b12d1e643cfaf4e406e783",
     ("exp_hard", "RSVD1", "trunc"): "eb7b7bc3348a3304f8f9203b2e800eca108978b6de851f2a3fa5ac079a5af19b",
-    ("exp_hard", "RSVD1", "full"): "f1e7f80bbb3fe7aff33d5ad4fa60338dca3b491f5fe497c3b8b37c9488ed4047",
+    ("exp_hard", "RSVD1", "full"): "1560916a11ae94021fec2889858f643a6f6578fd1d4c6d8b7732b3574c9a2e00",
     ("exp_hard", "RSVD2", "trunc"): "5f174d895a5ed66d6e324457a6c9abad066b104c1bd1156bc4cfa65a5d4e7464",
     ("exp_hard", "RSVD2", "full"): "4008841221df6dda3683468a8d698d6b2c6ae4e6846902fdfdf0b5764b3a6a34",
 }
-RECOVER_DIGEST = "10523e255593b66474a4bfd611eff490c2391fee1681fc9bf276a12e12c24b6c"
-RECOVERY_CSV_DIGEST = "1ea2d013f22c15b4a620a31eb0112353e30d9c47412988523d3c330c867bf3bc"
+RECOVER_DIGEST = "37d4bcc7cdd94f39ae8c6cca459b5b3fe723cd5ec0a62923bf447ba68ed8c0d7"
+RECOVERY_CSV_DIGEST = "15982d955c39c10861bc0192ac5814308c43685ee20fe1a1a69c817943babc5c"
 
 
 def _fingerprint():

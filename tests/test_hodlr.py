@@ -284,6 +284,13 @@ def test_apply_rejects_inputs_of_other_ranks():
             hodlr_apply(H, np.ones(shape))
 
 
+def test_apply_rejects_complex_input():
+    # a float cast would drop the imaginary part with only a ComplexWarning
+    H = random_hodlr(16, 2, stream(2, 11))
+    with pytest.raises(StructureError, match="need a real input, got dtype complex128"):
+        hodlr_apply(H, np.ones((16, 2)) + 1j)
+
+
 def test_apply_reaches_the_kernel_without_the_peel_entry(monkeypatch):
     # a span tracer wraps hodlr.apply_contributions to time the peel's
     # subtraction, so hodlr_apply must not look that attribute up
@@ -307,12 +314,38 @@ def test_repeated_apply_is_bit_identical(case, side):
     np.testing.assert_array_equal(hodlr_apply(H, X, side=side), first)
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_unperforated_operands_are_views_of_the_factors(swap, monkeypatch):
+    # c = 1 reads Q, Q pair-swapped and X transposed in place; the c = 2
+    # class layout depends on the reading block size m, so it is a copy
+    H = random_hodlr(256, 4, stream(2, 14))
+    Q, Xt = H.stacks[2].Q, H.stacks[2].X.swapaxes(1, 2)
+    e, M, r = Q.shape
+    for F in (Q, Xt):
+        pairs = F.reshape(e // 2, 2, M, r)
+        view = hodlr._row_classes(F, 4, 1, swap, reverse=True)
+        assert view.shape == (1, e // 2, 2, M, r) and np.shares_memory(view, F)
+        np.testing.assert_array_equal(view[0], pairs[:, ::-1] if swap else pairs)
+        copy = hodlr._row_classes(F, 4, 2, swap, reverse=True)
+        assert copy.shape == (2, e // 2, 2, M // 2, r) and not np.shares_memory(copy, F)
+    # the kernel reads hodlr_apply's input in place, one block per step, and
+    # leaves it as it was
+    monkeypatch.setattr(hodlr, "STEP_ENTRIES", 1)
+    X = stream(2, 15).standard_normal((256, 3))
+    X0 = X.copy()
+    for side in ("forward", "transpose"):
+        assert_close(hodlr_apply(H, X, side=side), blockwise_apply(256, H.levels, H.leaves, X, side))
+    np.testing.assert_array_equal(X, X0)
+
+
 def test_fold_depth_rule():
-    # blocks of size m <= min(4k, 2w) are folded: the poisson-16k and
-    # exphard-1k layouts at 64 columns, the fixed layouts of apply_cases,
+    # blocks of size m <= min(max(4k, FOLD_ROWS), 2w) are folded: the
+    # poisson-16k layout at 64 columns (4k = FOLD_ROWS = 32), the exphard-1k
+    # one down to m = 32 although 4k = 4, the fixed layouts of apply_cases,
     # and none for one column at k = 4 (building them would cost more)
+    assert hodlr.FOLD_ROWS == 32
     assert fold_depth(16384, 8, 64) == 3
-    assert fold_depth(1024, 1, 64) == 3
+    assert fold_depth(1024, 1, 64) == 6
     assert fold_depth(64, 1, 1) == 2 and fold_depth(64, 1, 2) == 3
     assert fold_depth(8, 2, 2) == 2 == level_count(8, 2)
     assert fold_depth(8, 2, 1) == 1
@@ -322,15 +355,16 @@ def test_fold_depth_rule():
 @pytest.mark.parametrize("w", [1, 2, 3, 8])
 @pytest.mark.parametrize("side", ["forward", "transpose"])
 def test_folded_band_with_zero_ragged_and_above_k_ranks(side, w):
-    # k = 1, L = 6: levels 4-6 (m = 4, 2, 1) are folded for w >= 2, level 5
-    # is all rank 0, level 4 has ranks 0 to 4 (above k), level 6 is ragged
+    # k = 1, L = 6: levels 4-6 (m = 4, 2, 1) are folded for w = 2, 3 and
+    # levels 2-6 for w = 8, level 5 is all rank 0, level 4 has ranks 0 to 4
+    # (above k), level 6 is ragged
     rng = stream(2, 7)
     ranks = {1: [1, 0], 2: [1, 1, 0, 1], 3: [0, 1] * 4, 4: [0, 1, 2, 3, 4] * 3 + [2],
              5: [0] * 32, 6: [1, 0] * 32}
     stacks = [random_stack(rng, 1 << ell, 64 >> ell, ranks[ell]) for ell in range(1, 7)]
     H = assemble(stacks, rng.standard_normal((64, 1, 1)), n=64, k=1, check_rank=False)
     X = rng.standard_normal((64, w))
-    assert fold_depth(64, 1, w) == (3 if w >= 2 else 2)
+    assert fold_depth(64, 1, w) == {1: 2, 2: 3, 3: 3, 8: 5}[w]
     assert_close(hodlr_apply(H, X, side=side), blockwise_apply(64, H.levels, H.leaves, X, side))
 
 
