@@ -345,7 +345,7 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     D-row blocks of the folded product as its output blocks.
     """
     if np.iscomplexobj(X):
-        raise StructureError(f"need a real input, got dtype {X.dtype}")
+        raise StructureError(f"need a real input, got dtype {np.asarray(X).dtype}")
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim not in (1, 2):
         raise StructureError(f"need a vector or an (n, w) block, got shape {X.shape}")

@@ -62,7 +62,7 @@ class LinearOperator:
         if side not in (FORWARD, TRANSPOSE):
             raise ValueError(f"unknown side {side!r}")
         if np.iscomplexobj(X):
-            raise DimensionError(f"{self.name}: need a real block, got dtype {X.dtype}")
+            raise DimensionError(f"{self.name}: need a real block, not {np.asarray(X).dtype}")
         X = np.asarray(X, dtype=float)
         squeeze = X.ndim == 1
         if squeeze:

@@ -287,8 +287,9 @@ def test_apply_rejects_inputs_of_other_ranks():
 def test_apply_rejects_complex_input():
     # a float cast would drop the imaginary part with only a ComplexWarning
     H = random_hodlr(16, 2, stream(2, 11))
-    with pytest.raises(StructureError, match="need a real input, got dtype complex128"):
-        hodlr_apply(H, np.ones((16, 2)) + 1j)
+    for X in (np.ones((16, 2)) + 1j, [1j] * 16):
+        with pytest.raises(StructureError, match="need a real input, got dtype complex128"):
+            hodlr_apply(H, X)
 
 
 def test_apply_reaches_the_kernel_without_the_peel_entry(monkeypatch):

@@ -50,8 +50,9 @@ def test_dimension_mismatch_rejected():
 def test_complex_block_rejected_uncounted():
     # a float cast would drop the imaginary part with only a ComplexWarning
     op = linops.make_dense_operator(np.eye(3), name="eye")
-    with pytest.raises(linops.DimensionError, match="eye: need a real block, got dtype complex128"):
-        op.apply(np.ones((3, 2)) + 1j, TRANSPOSE)
+    for X in (np.ones((3, 2)) + 1j, [1j, 0, 0]):
+        with pytest.raises(linops.DimensionError, match="eye: need a real block, not complex128"):
+            op.apply(X, TRANSPOSE)
     assert op.counter.snapshot() == (0, 0)
 
 
