@@ -312,7 +312,7 @@ def check_projection_perturbation(seed=0, trials=200) -> BoundCheck:
         E1 = 0.5 * rng.standard_normal((m1, s))
         Q = lowrank.orth(B @ Omega + E1)
         E2 = 0.5 * rng.standard_normal((Q.shape[1], m2))
-        approx = Q @ lowrank.truncated_svd(Q.T @ B + E2, k).dense()
+        approx = lowrank.truncate_factor(Q, Q.T @ B + E2, k).dense()
         lhs = float(np.linalg.norm(B - approx))
         rhs = lowrank.rsvd_perturb_bound_rhs(B, Omega, E1, E2, k)
         worst = max(worst, lhs - rhs)
@@ -352,9 +352,7 @@ def check_gn_expected_error(seed=0, trials=1000) -> BoundCheck:
         Omega = rng.standard_normal((m, s_R))
         Psi = rng.standard_normal((m, s_L))
         E1, F = noise.draw(rng, s_R, s_L)
-        Q = lowrank.orth(B @ Omega + E1)
-        X = lowrank.pinv_solve(Psi.T @ Q, Psi.T @ B + F)
-        approx = Q @ lowrank.truncated_svd(X, k).dense()
+        approx = lowrank.gn_from_sketches(B @ Omega + E1, Psi.T @ B + F, Psi, k).dense()
         errs[i] = np.linalg.norm(B - approx) ** 2
     mean = float(errs.mean())
     se = float(errs.std(ddof=1) / math.sqrt(trials))

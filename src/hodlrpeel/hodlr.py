@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .lowrank import LowRankFactors, orth
+from .lowrank import LowRankFactors, orth, truncated_svd
 
 MAGIC = b"HODLRPK1"
 FORMAT_VERSION = 1
@@ -131,7 +131,7 @@ def fold(H, c, counter=None) -> np.ndarray:
     return S
 
 
-def assemble(stacks, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
+def assemble(stacks, leaves, *, n, k, check_rank=True) -> HodlrMatrix:
     """Assemble level stacks and leaf diagonals into a HodlrMatrix.
 
     ``stacks[l-1]`` must be the stack of level l (see the module docstring),
@@ -149,13 +149,8 @@ def assemble(stacks, leaves, *, n=None, k=None, check_rank=True) -> HodlrMatrix:
     if n_leaves & (n_leaves - 1):
         raise StructureError(f"leaf count {n_leaves} is not a power of two")
     L = n_leaves.bit_length() - 1
-    inferred_n = n_base * n_leaves
-    if n is None:
-        n = inferred_n
-    if k is None:
-        raise StructureError("assemble needs the rank parameter k")
-    if inferred_n != n:
-        raise StructureError(f"leaves imply n={inferred_n}, expected {n}")
+    if n_base * n_leaves != n:
+        raise StructureError(f"leaves imply n={n_base * n_leaves}, expected {n}")
     if level_count(n, k) != L:
         raise StructureError(f"{L} levels inconsistent with (n={n}, k={k})")
     if len(stacks) != L:
@@ -373,8 +368,8 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
 
 def best_hodlr(A, k: int) -> HodlrMatrix:
     """Frobenius-optimal HODLR(k) approximation of a dense matrix: truncated
-    SVDs of every off-diagonal block, one stacked SVD per level, and exact
-    leaf diagonals."""
+    SVDs of every off-diagonal block, one stacked ``truncated_svd`` per
+    level, and exact leaf diagonals."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -382,12 +377,8 @@ def best_hodlr(A, k: int) -> HodlrMatrix:
     L = level_count(n, k)
     stacks = []
     for ell in range(1, L + 1):
-        U, s, Vt = np.linalg.svd(block_view(A, ell, 1).reshape(-1, n >> ell, n >> ell),
-                                 full_matrices=False)
-        r = min(k, s.shape[-1])
-        Q = np.ascontiguousarray(U[..., :r])
-        stacks.append(LowRankFactors(Q=Q, X=s[..., :r, None] * Vt[..., :r, :],
-                                     ranks=np.full(1 << ell, r)))
+        f = truncated_svd(block_view(A, ell, 1).reshape(-1, n >> ell, n >> ell), k)
+        stacks.append(LowRankFactors(Q=np.ascontiguousarray(f.Q), X=f.X, ranks=f.ranks))
     return assemble(stacks, block_view(A, L, 0)[0], n=n, k=k)
 
 

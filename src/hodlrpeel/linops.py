@@ -200,8 +200,8 @@ def make_hard_block_instance(k: int, eta: float) -> LinearOperator:
     k = int(k)
     if k < 1:
         raise DimensionError(f"hard-block instance needs rank k >= 1, got {k}")
-    if eta <= 1:
-        raise DimensionError("eta must exceed 1")
+    if not eta > 1 or not np.isfinite(eta):
+        raise DimensionError(f"eta must be a finite number above 1, got {eta}")
     X = np.zeros((2 * k, 2 * k))
     X[:k, :k] = np.eye(k)
     Y = np.zeros((2 * k, 2 * k))
@@ -218,6 +218,8 @@ def make_exp_hard_instance(L: int, eta: float) -> LinearOperator:
     L = int(L)
     if L < 2:
         raise DimensionError(f"exp-hard instance needs at least two levels, got L={L}")
+    if not np.isfinite(eta):
+        raise DimensionError(f"eta must be finite, got {eta}")
     n = 2**L
     A = np.zeros((n, n))
     A[0::2, 0] = 1.0  # 1-based odd rows

@@ -5,11 +5,15 @@ generalized Nystrom method (both matrix-free), the in-peeling "from sketches"
 form, and evaluators for the deterministic projection perturbation bound and
 the expected-error bound that certify them.
 
-``orth``, ``pinv_solve``, ``truncate_factor`` and ``gn_from_sketches`` take a
-single matrix or a stack with leading batch axes, through one code path
-for both, so that peeling factors all 2^l blocks of a level with one LAPACK
-call each.  Stacked factors are padded to the largest rank of the stack (see
-``LowRankFactors``); such a stack is also how a HODLR level is stored.
+``truncate_factor`` is the one rank-k truncation of a sketched factor
+Q [[X]]_k: randomized SVD, generalized Nystrom, the peeling steps built on
+them and the bound checks all cut through it.  ``truncated_svd`` is the cut
+of a plain matrix.  These two, ``orth``, ``pinv_solve`` and
+``gn_from_sketches`` take a single matrix or a stack with leading batch axes,
+through one code path for both, so that peeling factors all 2^l blocks of a
+level with one LAPACK call each.  Stacked factors are padded to the largest
+rank of the stack (see ``LowRankFactors``); such a stack is also how a HODLR
+level is stored.
 Stacks may be strided views, such as the partner view of a level's Gaussian
 blocks; nothing here copies them.
 """
@@ -76,20 +80,21 @@ def column_ranks(Q) -> np.ndarray:
 
 
 def truncated_svd(B, k: int) -> LowRankFactors:
-    """Best Frobenius rank-k approximation of B.
+    """Best Frobenius rank-k approximation of B (m1, m2), or of each matrix
+    of a stack (..., m1, m2).
 
     Ties at the cut keep the first k triplets in the order returned by the
     deterministic SVD; the factorization is then implementation-defined but
     the approximation error is not.  Inputs of rank < k come back exact.
+    Every block keeps min(k, m1, m2) directions, so a stack has no padding.
     """
     B = np.asarray(B, dtype=float)
     if k < 1:
         raise RankError(f"rank must be >= 1, got {k}")
-    if min(B.shape) == 0:
-        return empty_factors(B.shape[0], B.shape[1])
     U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    r = min(k, s.size)
-    return LowRankFactors(Q=U[:, :r], X=s[:r, None] * Vt[:r])
+    r = min(k, s.shape[-1])
+    return LowRankFactors(Q=U[..., :r], X=s[..., :r, None] * Vt[..., :r, :],
+                          ranks=np.full(B.shape[:-2], r))
 
 
 def orth(Y) -> np.ndarray:
@@ -194,18 +199,21 @@ def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
     if Psi.shape[-1] < Q.shape[-1]:
         raise RankError("underdetermined regression: Psi^T Q has fewer rows than columns")
     X = pinv_solve(_t(Psi) @ Q, Z)
-    return truncate_factor(Q, X, X.shape[-2] if k is None else k)
+    return truncate_factor(Q, X, k)
 
 
-def truncate_factor(Q, X, k) -> LowRankFactors:
-    """[[X]]_k pushed through Q, keeping the orthonormal-factor form.
+def truncate_factor(Q, X, k=None) -> LowRankFactors:
+    """Q [[X]]_k, keeping the orthonormal-factor form.
 
     Q is an ``orth`` output, a stack included; rows of X that meet its zero
     padding are ignored.  Each block keeps min(rank, k, w) directions for X
     of width w, so a block's result does not depend on the rest of its stack.
-    The padding of the result is exact zeros.
+    ``k=None`` keeps every direction.  The padding of the result is exact
+    zeros.
     """
     ranks = column_ranks(Q)
+    if k is None:
+        k = X.shape[-2]
     if X.shape[-2] > min(k, X.shape[-1]):
         U, s, Vt = np.linalg.svd(_zero_rows(X, ranks), full_matrices=False)
         X = s[..., :k, None] * Vt[..., :k, :]
@@ -220,42 +228,6 @@ def _zero_rows(X, ranks) -> np.ndarray:
     return np.where(np.arange(X.shape[-2])[:, None] < ranks[..., None, None], X, 0.0)
 
 
-@dataclass
-class SvdSplit:
-    """SVD of B split at rank k, with a sketch projected onto both sides."""
-
-    U_top: np.ndarray
-    sigma_top: np.ndarray
-    V_top: np.ndarray
-    U_bot: np.ndarray
-    sigma_bot: np.ndarray
-    V_bot: np.ndarray
-    omega_top: np.ndarray
-    omega_bot: np.ndarray
-
-
-def split_svd(B, k, Omega) -> SvdSplit:
-    B = np.asarray(B, dtype=float)
-    Omega = np.asarray(Omega, dtype=float)
-    m1, m2 = B.shape
-    if not 1 <= k <= min(m1, m2):
-        raise RankError(f"split rank {k} out of range for shape {B.shape}")
-    U, s, Vt = np.linalg.svd(B, full_matrices=True)
-    V = Vt.T
-    # sigma has min(m1, m2) entries; the bottom block of the full SVD pads
-    # with zeros, which contribute nothing to the norms used below.
-    return SvdSplit(
-        U_top=U[:, :k],
-        sigma_top=s[:k],
-        V_top=V[:, :k],
-        U_bot=U[:, k:],
-        sigma_bot=s[k:],
-        V_bot=V[:, k:],
-        omega_top=V[:, :k].T @ Omega,
-        omega_bot=V[:, k:].T @ Omega,
-    )
-
-
 def rsvd_perturb_bound_rhs(B, Omega, E1, E2, k) -> float:
     """Right-hand side of the deterministic perturbation bound for sketched
     projection: with Q = orth(B Omega + E1) and the approximation
@@ -267,17 +239,21 @@ def rsvd_perturb_bound_rhs(B, Omega, E1, E2, k) -> float:
 
     Requires the top sketch Omega_top = V_top^T Omega to have full rank k.
     """
-    split = split_svd(B, k, Omega)
-    sv = np.linalg.svd(split.omega_top, compute_uv=False)
-    tol = EPS * max(split.omega_top.shape) * (sv[0] if sv.size else 0.0)
+    B = np.asarray(B, dtype=float)
+    Omega = np.asarray(Omega, dtype=float)
+    if not 1 <= k <= min(B.shape):
+        raise RankError(f"split rank {k} out of range for shape {B.shape}")
+    _, s, Vt = np.linalg.svd(B, full_matrices=False)
+    omega_top = Vt[:k] @ Omega
+    sv = np.linalg.svd(omega_top, compute_uv=False)
+    tol = EPS * max(omega_top.shape) * (sv[0] if sv.size else 0.0)
     if sv.size < k or sv[-1] <= tol:
         raise RankError("top sketch is rank deficient; bound inapplicable")
-    pinv_top = np.linalg.pinv(split.omega_top)
+    pinv_top = np.linalg.pinv(omega_top)
     E1 = np.asarray(E1, dtype=float)
     E2 = np.asarray(E2, dtype=float)
-    nb = split.sigma_bot.size
-    scaled = split.sigma_bot[:, None] * (split.omega_bot[:nb] @ pinv_top)
-    tail = np.sqrt(np.sum(split.sigma_bot**2) + np.sum(scaled**2))
+    scaled = s[k:, None] * (Vt[k:] @ Omega @ pinv_top)
+    tail = np.sqrt(np.sum(s[k:] ** 2) + np.sum(scaled**2))
     return float(np.linalg.norm(E1 @ pinv_top) + 2.0 * np.linalg.norm(E2) + tail)
 
 

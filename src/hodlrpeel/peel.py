@@ -372,16 +372,9 @@ def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
 
 
 def _project_truncate(Q, X_padded, k):
-    """Factor Q_pad [[X]]_k for a level's stack of bases Q (..., m, r) and
-    projections X (..., s_R, m), whose rows beyond each basis' rank hit
-    zero-padded columns; re-orthonormalized so the stored factors keep the
-    Q X form.  ``k=None`` keeps every direction."""
-    U, s, Vt = np.linalg.svd(X_padded, full_matrices=False)
-    keep = s.shape[-1] if k is None else min(k, s.shape[-1])
-    Qraw = Q @ U[..., : Q.shape[-1], :keep]
-    Qn = lowrank.orth(Qraw)
-    Xn = (Qn.swapaxes(-1, -2) @ Qraw) @ (s[..., :keep, None] * Vt[..., :keep, :])
-    return lowrank.LowRankFactors(Q=Qn, X=Xn, ranks=lowrank.column_ranks(Qn))
+    """Q [[X]]_k for a level's stack of bases Q (..., m, r) and projections
+    X (..., s_R, m), whose rows past r meet zero-padded sketch columns."""
+    return lowrank.truncate_factor(Q, X_padded[..., : Q.shape[-1], :], k)
 
 
 def _gn_leaf_sketch(config, n, L):

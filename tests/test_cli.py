@@ -92,6 +92,19 @@ def test_approx_random_hodlr_without_layout_is_a_usage_error(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("operator, size", [("hard-block", ()), ("exp-hard", ("--n", "64"))])
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_non_finite_eta_is_a_usage_error(tmp_path, operator, size, eta):
+    out = tmp_path / "x.hodlr"
+    r = run_cli("approx", "--operator", operator, *size, "--k", "2", "--eta", eta,
+                "--allow-invalid-config", "--out", str(out))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"hodlrpeel: error: --operator {operator}: eta must be")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["approx", "recover"])
 @pytest.mark.parametrize("operator, flag", [("dense", "--in"), ("kernel", "--points")])
 def test_missing_input_file_is_a_usage_error(tmp_path, command, operator, flag):

@@ -17,9 +17,12 @@ across numpy and BLAS builds and CPU kernels, so the digests are only
 compared where that fingerprint matches; elsewhere the tests skip.  The CSV
 also changes with the BLAS thread count, so the runs are made in one child
 process with BLAS pinned to one thread.  ``python tests/test_golden.py``
-prints the digests of the current code as JSON.
+prints the digests of the current code as JSON; with ``--dense DIR`` it also
+writes each pinned run's ``H.to_dense()`` to ``DIR/<key>.npy``, so that two
+trees' outputs can be compared entry by entry when a change moves a digest.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -47,19 +50,19 @@ PEEL_DIGESTS = {
     ("poisson", "GN1", "full"): "aa306fff46243ec438957b655e3f331491425e612bf7c3e79006555cb27bffd5",
     ("poisson", "GN2", "trunc"): "c0b320fefac3154b4d00c3a7e159d89e45d9d4f484c8bf6cb545ad2043ad6996",
     ("poisson", "GN2", "full"): "df82cc8a2807a40756718a12d2b60a91114f11360a2eb81aeb9d76f619e6bed6",
-    ("poisson", "RSVD1", "trunc"): "8ebf2ec37f0eb6b99087509e8b186d57beaf499b3bcff4a1a0c8cc930c21ee29",
-    ("poisson", "RSVD1", "full"): "c17b97aa945f80dc323d3b67cd46562b07a0cffad826cf313633bbf6ab6af9a7",
-    ("poisson", "RSVD2", "trunc"): "1f3482d724e270c8ae49e499b3e6aa77867f05318744861816704df3e3e25449",
-    ("poisson", "RSVD2", "full"): "f2e44a236df3a1831bebd9065f5d9f932a842fe49f28db895a2476025acb7165",
+    ("poisson", "RSVD1", "trunc"): "fdeefc58a3bf0464b5a5e5b1d96bcdf7c23b9f7a029a9d72da156bc32bb4d596",
+    ("poisson", "RSVD1", "full"): "7f95eaa65ec2be22ef45f4596e54d44e930339b3cf1382c0af7b72b1a061c889",
+    ("poisson", "RSVD2", "trunc"): "0dec552a988f95b3cdc7759460485e9d91a5c499c95c8168be77a31a8ce7fdb6",
+    ("poisson", "RSVD2", "full"): "dae006bdcc905d3c8aa26322f855be465f688274f8e533964c8adad2708f4fe2",
     ("exp_hard", "GN2", "trunc"): "ec7aed958017a18a75470f1c0272610342d7c0a6f0f787e9b47244d617aec732",
     ("exp_hard", "GN2", "full"): "ef752bb10a9fd43a7f880236cbdf613a4019fa30b9b12d1e643cfaf4e406e783",
-    ("exp_hard", "RSVD1", "trunc"): "eb7b7bc3348a3304f8f9203b2e800eca108978b6de851f2a3fa5ac079a5af19b",
-    ("exp_hard", "RSVD1", "full"): "1560916a11ae94021fec2889858f643a6f6578fd1d4c6d8b7732b3574c9a2e00",
-    ("exp_hard", "RSVD2", "trunc"): "5f174d895a5ed66d6e324457a6c9abad066b104c1bd1156bc4cfa65a5d4e7464",
-    ("exp_hard", "RSVD2", "full"): "4008841221df6dda3683468a8d698d6b2c6ae4e6846902fdfdf0b5764b3a6a34",
+    ("exp_hard", "RSVD1", "trunc"): "1fc93b30cbc2573ed9ef6c2dce35d06f6400a88e97406b49b3e650b93d3c7dc0",
+    ("exp_hard", "RSVD1", "full"): "e5643325f82928ea3d44908c75a2b66d486e8d9c1ccbe75c328c42da622dac21",
+    ("exp_hard", "RSVD2", "trunc"): "8d7990666cfe4ed0c4ed89f74a62fa14649e311f7530b8815cace310241debd4",
+    ("exp_hard", "RSVD2", "full"): "8c8a32d198832ff7325afcedddad4be8d57d4a2c8dc13e659c4c50a7b8ae7d8f",
 }
 RECOVER_DIGEST = "37d4bcc7cdd94f39ae8c6cca459b5b3fe723cd5ec0a62923bf447ba68ed8c0d7"
-RECOVERY_CSV_DIGEST = "15982d955c39c10861bc0192ac5814308c43685ee20fe1a1a69c817943babc5c"
+RECOVERY_CSV_DIGEST = "ec61a1b838dd8ee14c1e431ddaa1813f2d61f65c6081c819142153c282228e79"
 
 
 def _fingerprint():
@@ -73,9 +76,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests() -> dict:
-    """Digest of every pinned run, keyed as the tables above ('/'-joined)."""
+def digests(dense_dir=None) -> dict:
+    """Digest of every pinned run, keyed as the tables above ('/'-joined).
+    With ``dense_dir``, each run's H.to_dense() goes to dense_dir/<key>.npy."""
     out = {}
+
+    def record(key, H):
+        out[key] = _sha256(hodlr.to_bytes(H))
+        if dense_dir is not None:
+            path = os.path.join(dense_dir, key + ".npy")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            np.save(path, H.to_dense())
+
     operators = {
         "poisson": (linops.make_poisson_operator(32), 4),
         "exp_hard": (linops.make_exp_hard_instance(7, 1e8), 1),
@@ -88,10 +100,10 @@ def digests() -> dict:
         )
         counts = (report.forward_total, report.transpose_total)
         assert counts == peel.expected_queries(config, op.n)
-        out[f"{name}/{preset}/{truncation}"] = _sha256(hodlr.to_bytes(H))
+        record(f"{name}/{preset}/{truncation}", H)
     H0 = hodlr.random_hodlr(256, 4, stream(3, 1))
     H, _ = peel.exact_recover(linops.make_dense_operator(H0.to_dense()), 4)
-    out["exact_recover"] = _sha256(hodlr.to_bytes(H))
+    record("exact_recover", H)
     rows = bench.run_experiment("recovery", {"n": [128], "k": [2]}, trials=2, seed=9)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "recovery.csv")
@@ -129,4 +141,7 @@ def test_recovery_csv_digest(measured):
 
 
 if __name__ == "__main__":
-    print(json.dumps(digests(), indent=1))
+    parser = argparse.ArgumentParser(description="Print the golden digests as JSON.")
+    parser.add_argument("--dense", metavar="DIR",
+                        help="also write each run's H.to_dense() to DIR/<key>.npy")
+    print(json.dumps(digests(parser.parse_args().dense), indent=1))

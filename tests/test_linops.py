@@ -205,6 +205,16 @@ def test_exp_hard_eta_zero_degenerates():
     assert np.count_nonzero(A[:, 1:]) == 0
 
 
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_hard_instances_reject_non_finite_eta(eta):
+    with pytest.raises(linops.DimensionError, match="eta"):
+        linops.make_hard_block_instance(2, eta)
+    with pytest.raises(linops.DimensionError, match="eta"):
+        linops.make_exp_hard_instance(3, eta)
+    with pytest.raises(linops.DimensionError, match="eta"):
+        linops.make_hard_block_instance(2, 1.0)
+
+
 # CSV interchange -------------------------------------------------------------
 
 def test_point_cloud_csv_roundtrip(tmp_path):

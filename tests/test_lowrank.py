@@ -51,6 +51,16 @@ def test_truncated_svd_matches_full_svd_tail():
     assert math.isclose(np.linalg.norm(B - f.dense()), expected, rel_tol=1e-12)
     assert f.rank <= 2
     assert np.linalg.norm(f.Q.T @ f.Q - np.eye(f.rank)) <= 1e-12 * math.sqrt(max(f.rank, 1))
+    # stacks, one of empty matrices and one with no matrices, go through the
+    # same call and agree with the matrices cut one at a time
+    for S in (stream(0, 2).standard_normal((3, 6, 5)), np.zeros((2, 0, 4)), np.zeros((0, 6, 5))):
+        f = truncated_svd(S, 2)
+        r = min(2, *S.shape[-2:])
+        assert f.Q.shape == S.shape[:-1] + (r,) and f.X.shape == S.shape[:-2] + (r, S.shape[-1])
+        np.testing.assert_array_equal(f.ranks, np.full(S.shape[0], r))
+        for i in range(S.shape[0]):
+            np.testing.assert_allclose(f.dense()[i], truncated_svd(S[i], 2).dense(),
+                                       rtol=0, atol=1e-12)
 
 
 def test_truncated_svd_dominates_random_rank_k():
@@ -166,14 +176,16 @@ def test_stacked_truncate_factor_matches_blockwise(case, w, k):
     Q = orth(Y)
     # rows past a block's rank meet zero columns of Q and must be ignored
     X = rng.standard_normal((Y.shape[0], Q.shape[2], w))
-    stack = truncate_factor(Q, X, k)
     ranks = lowrank.column_ranks(Q)
-    assert_zero_padded(stack)
-    for i, f in enumerate(stack.factors):
-        ref = truncate_factor(Q[i, :, : ranks[i]], X[i, : ranks[i]], k)
-        assert f.rank == ref.rank == min(ranks[i], k, w)
-        assert_close(f.dense(), ref.dense())
-        assert_close(stack.dense()[i], ref.dense())
+    # k=None keeps every direction: min(rank, w) per block
+    for kk, cut in ((k, k), (None, Q.shape[2])):
+        stack = truncate_factor(Q, X, kk)
+        assert_zero_padded(stack)
+        for i, f in enumerate(stack.factors):
+            ref = truncate_factor(Q[i, :, : ranks[i]], X[i, : ranks[i]], kk)
+            assert f.rank == ref.rank == min(ranks[i], cut, w)
+            assert_close(f.dense(), ref.dense())
+            assert_close(stack.dense()[i], ref.dense())
 
 
 @settings(max_examples=60, deadline=None)

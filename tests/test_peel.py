@@ -223,6 +223,25 @@ def test_level_with_rank_zero_and_rank_k_blocks():
             assert f.rank == (0 if (ell, j) in ZEROED else k), (ell, j)
 
 
+def test_rsvd_truncation_ignores_projection_rows_past_a_block_rank():
+    # block 0 has rank 1 in a width-2 stack of bases; its projection row 1
+    # meets the zero-padded basis column and is the larger one, but the rank-1
+    # truncation must keep the block's own direction, not the padding's
+    Q = np.zeros((2, 4, 2))
+    Q[0, 0, 0] = 1.0
+    Q[1, [0, 1], [0, 1]] = 1.0
+    X = np.zeros((2, 3, 4))
+    X[0, 0] = [1.0, 1.0, 0.0, 0.0]
+    X[0, 1] = [0.0, 0.0, 10.0, 0.0]
+    X[1, :2] = [[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+    stack = peel._project_truncate(Q, X, 1)
+    np.testing.assert_array_equal(stack.ranks, [1, 1])
+    expected = np.zeros((2, 4, 4))
+    expected[0, 0, :2] = 1.0
+    expected[1, 0, 0] = 2.0
+    np.testing.assert_allclose(stack.dense(), expected, atol=1e-15)
+
+
 def test_regression_residual_check_is_per_block():
     # a large consistent block must not hide a small inconsistent one
     rng = stream(23, 0)
