@@ -48,6 +48,7 @@ from .peel import (
     params_for_beta,
     run_peel,
     residual_sketch,
+    unperforated_config,
 )
 from .sketch import (
     BlockSelector,

@@ -23,30 +23,24 @@ import numpy as np
 from . import hodlr, linops, lowrank, peel
 from .rng import seed_sequence, stream
 
-PRESET_NAMES = ("GN1", "GN2", "RSVD1", "RSVD2")
-
-RESULT_COLUMNS = (
-    "experiment",
-    "preset",
-    "n",
-    "k",
-    "beta",
-    "trial",
-    "relative_error",
-    "absolute_error",
-    "forward_queries",
-    "transpose_queries",
-    "seed",
-)
+# Preset name -> (variant, whether t_R = ceil(1/beta), whether t_L = ceil(1/beta));
+# a repetition count not so set is 1, and ``preset_config`` sets the widths.
+PRESETS = {
+    "GN1": (peel.GENERALIZED_NYSTROM, False, False),
+    "GN2": (peel.GENERALIZED_NYSTROM, True, False),
+    "RSVD1": (peel.RSVD, False, False),
+    "RSVD2": (peel.RSVD, True, True),
+}
 
 
 def preset_config(name, k, beta, seed=0) -> peel.PeelConfig:
-    """Expand a named preset at rank k and oversampling beta.
+    """Expand a named preset at rank k and oversampling beta: s_R = ceil(k/beta)
+    and generalized Nystrom s_L = ceil(k/beta^2) (rsvd inherits s_L = s_R).
 
     Fractional widths are rounded up (sketch widths are integers and ceiling
     preserves the guarantee direction).
     """
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be a positive finite number, got {beta}")
@@ -54,22 +48,11 @@ def preset_config(name, k, beta, seed=0) -> peel.PeelConfig:
         s_R, s_L, inv = math.ceil(k / beta), math.ceil(k / beta**2), math.ceil(1.0 / beta)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"beta must give finite widths k/beta and k/beta**2, got {beta}") from None
-    if name == "GN1":
-        return peel.PeelConfig(
-            k=k, s_R=s_R, t_R=1, s_L=s_L, t_L=1,
-            variant=peel.GENERALIZED_NYSTROM, seed=seed, beta=beta,
-        )
-    if name == "GN2":
-        return peel.PeelConfig(
-            k=k, s_R=s_R, t_R=inv, s_L=s_L, t_L=1,
-            variant=peel.GENERALIZED_NYSTROM, seed=seed, beta=beta,
-        )
-    if name == "RSVD1":
-        return peel.PeelConfig(
-            k=k, s_R=s_R, t_R=1, t_L=1, variant=peel.RSVD, seed=seed, beta=beta,
-        )
+    variant, perforated_R, perforated_L = PRESETS[name]
     return peel.PeelConfig(
-        k=k, s_R=s_R, t_R=inv, t_L=inv, variant=peel.RSVD, seed=seed, beta=beta,
+        k=k, s_R=s_R, t_R=inv if perforated_R else 1,
+        s_L=s_L if variant == peel.GENERALIZED_NYSTROM else None,
+        t_L=inv if perforated_L else 1, variant=variant, seed=seed, beta=beta,
     )
 
 
@@ -83,8 +66,9 @@ def relative_error(err_abs: float, opt_abs: float) -> float:
     return err_abs / opt_abs - 1.0
 
 
-@dataclass
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
+    """One CSV row; its fields are the columns, in order."""
+
     experiment: str
     preset: str
     n: int
@@ -97,8 +81,8 @@ class ExperimentRow:
     transpose_queries: int
     seed: int
 
-    def astuple(self):
-        return tuple(getattr(self, c) for c in RESULT_COLUMNS)
+
+RESULT_COLUMNS = ExperimentRow._fields
 
 
 def _trial_seed(root_seed, *key) -> int:
@@ -439,7 +423,7 @@ def emit(rows, path, fmt="csv") -> None:
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(RESULT_COLUMNS)
         for row in rows:
-            w.writerow([_fmt(v) for v in row.astuple()])
+            w.writerow([_fmt(v) for v in row])
         with open(path, "w", newline="") as fh:
             fh.write(buf.getvalue())
         return

@@ -98,7 +98,7 @@ def _make_operator(args, k, seed):
     return linops.make_dense_operator(H.to_dense())
 
 
-def _print_report(report, n):
+def _print_report(report, n, final_error=None):
     print(f"variant={report.variant} n={n}")
     for st in report.levels:
         err = "" if st.error is None else f" level_error={st.error:.6g}"
@@ -110,38 +110,33 @@ def _print_report(report, n):
         f"totals: forward={report.forward_total} transpose={report.transpose_total}"
         f" time={report.seconds:.3f}s"
     )
-    if report.final_error is not None:
-        print(f"final_error={report.final_error:.9g}")
+    if final_error is not None:
+        print(f"final_error={final_error:.9g}")
 
 
 def _cmd_approx(args):
+    stated = f"--preset {args.preset} --k {args.k} --beta {args.beta}"
     try:
         config = bench.preset_config(args.preset, args.k, args.beta, seed=args.seed)
     except ValueError as exc:  # ConfigError included
-        _usage_error(f"--preset {args.preset} --k {args.k} --beta {args.beta}: {exc}")
+        _usage_error(f"{stated}: {exc}")
     if args.variant and args.variant != config.variant:
         _usage_error(f"preset {args.preset} conflicts with --variant {args.variant}")
     op = _build_operator(args, args.k, args.seed)
-    violations = config.theory_violations()
-    if violations and not args.allow_invalid_config:
-        _usage_error(
-            f"--preset {args.preset} --k {args.k} --beta {args.beta} fails guarantee"
-            f" validation ({'; '.join(violations)}); pass --allow-invalid-config to"
-            " run it anyway"
-        )
     try:
         H, report = peel.run_peel(op, config, truncate=not args.no_truncate,
                                   allow_invalid=args.allow_invalid_config)
+    except peel.ConfigError as exc:
+        _usage_error(f"{stated} {exc}; pass --allow-invalid-config to run it anyway")
     except linops.NonFiniteOutputError as exc:
         _usage_error(str(exc))
-    if op.n <= linops.DESK_SCALE_LIMIT:
-        A = op.materialize()
-        report.final_error = float(np.linalg.norm(A - H.to_dense()))
+    final_error = (float(np.linalg.norm(op.materialize() - H.to_dense()))
+                   if op.n <= linops.DESK_SCALE_LIMIT else None)
     if args.out:
         with _writing(args.out):
             hodlr.save(H, args.out)
         print(f"wrote {args.out}")
-    _print_report(report, op.n)
+    _print_report(report, op.n, final_error)
     return 0
 
 
@@ -221,7 +216,7 @@ def build_parser():
     _add_operator_args(ap)
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--beta", type=float, default=0.5)
-    ap.add_argument("--preset", default="GN1", choices=bench.PRESET_NAMES)
+    ap.add_argument("--preset", default="GN1", choices=bench.PRESETS)
     ap.add_argument("--variant", choices=[peel.GENERALIZED_NYSTROM, peel.RSVD])
     ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--out", help="write the HODLR container here")

@@ -372,7 +372,7 @@ def best_hodlr(A, k: int) -> HodlrMatrix:
     level, and exact leaf diagonals."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise StructureError(f"need a square matrix, got {A.shape}")
     L = level_count(n, k)
     stacks = []
@@ -382,7 +382,7 @@ def best_hodlr(A, k: int) -> HodlrMatrix:
     return assemble(stacks, block_view(A, L, 0)[0], n=n, k=k)
 
 
-def random_hodlr(n, k, rng, leaf_scale=1.0) -> HodlrMatrix:
+def random_hodlr(n, k, rng) -> HodlrMatrix:
     """Random matrix that is exactly HODLR(k): Gaussian rank-k factors at
     every off-diagonal block and Gaussian dense leaves.  Each block draws its
     raw Q, then its X, in block order."""
@@ -398,7 +398,7 @@ def random_hodlr(n, k, rng, leaf_scale=1.0) -> HodlrMatrix:
             ranks=np.full(d, r),
         ))
     m = n >> L
-    return assemble(stacks, leaf_scale * rng.standard_normal((1 << L, m, m)), n=n, k=k)
+    return assemble(stacks, rng.standard_normal((1 << L, m, m)), n=n, k=k)
 
 
 # Serialization: fixed header, per-block (index, rank, Q, X) records in level

@@ -36,6 +36,7 @@ block's left Gaussian is its partner's, read through the strided view
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -96,9 +97,14 @@ class PeelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.s_L is None:
             self.s_L = self.s_R
+        sizes = (self.k, self.s_R, self.t_R, self.s_L, self.t_L)
+        if not all(isinstance(v, numbers.Integral) for v in sizes):
+            raise ConfigError(f"k, s_R, t_R, s_L and t_L must be integers, got {sizes}")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be a positive finite number, got {self.beta}")
         if self.variant == RSVD and self.s_L != self.s_R:
             raise ConfigError("rsvd variant inherits s_L = s_R from the stacked bases")
-        if min(self.k, self.s_R, self.t_R, self.s_L, self.t_L) < 1:
+        if min(sizes) < 1:
             raise ConfigError("all parameters must be >= 1")
         if self.s_R < self.k:
             raise ConfigError(f"s_R={self.s_R} below rank k={self.k}")
@@ -109,78 +115,66 @@ class PeelConfig:
         """Violated guarantee conditions (empty if beta is unset or all hold)."""
         if self.beta is None:
             return []
-        b = float(self.beta)
-        a = self.k / (self.s_R - self.k - 1) if self.s_R > self.k + 1 else math.inf
         out = []
-        if self.variant == GENERALIZED_NYSTROM:
-            c1, c2 = 30.0, 900.0
-            third = (
-                self.s_R / (self.s_L - self.s_R - 1)
-                if self.s_L > self.s_R + 1
-                else math.inf
-            )
-            third_desc = f"s_R/(s_L-s_R-1) = {third:.4g} > beta^2/900"
-        else:
-            c1, c2 = 10.0, 100.0
-            third = 1.0 / self.t_L
-            third_desc = f"1/t_L = {third:.4g} > beta^2/100"
-        if a > b / c1:
-            out.append(f"k/(s_R-k-1) = {a:.4g} > beta/{c1:.0f}")
-        if a / self.t_R > b * b / c2:
-            out.append(f"k/(s_R-k-1)/t_R = {a / self.t_R:.4g} > beta^2/{c2:.0f}")
-        if third > b * b / c2:
-            out.append(third_desc)
+        for name, num, off, bound, lhs, rhs in _conditions(self):
+            ratio = _ratio(num, getattr(self, name), off)
+            if ratio > bound:
+                out.append(f"{lhs} = {ratio:.4g} > {rhs}")
         return out
 
 
-def params_for_beta(k, beta, variant=GENERALIZED_NYSTROM, seed=0, profile="theory"):
-    """Smallest integer parameters meeting the guarantee conditions.
+def _ratio(num, x, off):
+    """num / (x - off), infinite where x <= off."""
+    return num / (x - off) if x > off else math.inf
 
-    ``profile="theory"`` inverts the validation inequalities exactly as
-    stated (constants included), so the returned config always validates.
-    ``profile="unperforated"`` returns the t_R = t_L = 1 parameter scaling
-    s_R = ceil(k/beta^2), s_L = ceil(k/beta^4) under which plain (t = 1)
-    generalized Nystrom peeling attains the same (1+beta)^(L+1) factor; it is
-    the configuration desk-scale runs can actually afford.  It leaves beta
-    unset, since it does not satisfy the strict validation inequalities.
-    """
+
+def _conditions(config):
+    """The guarantee conditions of ``config``'s variant (see ``PeelConfig``)
+    in solving order, each ``num / (x - off) <= bound`` for the parameter
+    ``x`` it names, as (name, num, off, bound, lhs text, bound text).  A
+    condition reads only the parameters named before it."""
+    k, s_R, b = config.k, config.s_R, float(config.beta)
+    if config.variant == GENERALIZED_NYSTROM:
+        c1, c2, (name, num, off, lhs) = 30, 900, ("s_L", s_R, s_R + 1, "s_R/(s_L-s_R-1)")
+    else:
+        c1, c2, (name, num, off, lhs) = 10, 100, ("t_L", 1, 0, "1/t_L")
+    return [
+        ("s_R", k, k + 1, b / c1, "k/(s_R-k-1)", f"beta/{c1}"),
+        ("t_R", _ratio(k, s_R, k + 1), 0, b * b / c2, "k/(s_R-k-1)/t_R", f"beta^2/{c2}"),
+        (name, num, off, b * b / c2, lhs, f"beta^2/{c2}"),
+    ]
+
+
+def params_for_beta(k, beta, variant=GENERALIZED_NYSTROM, seed=0):
+    """Smallest integer parameters meeting the guarantee conditions, so the
+    returned config always validates.  Each condition of ``_conditions`` is
+    solved in turn from its closed-form root, then stepped to the least
+    integer that the check itself accepts."""
     if not 0 < beta < 1:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
-    if profile == "unperforated":
-        if variant != GENERALIZED_NYSTROM:
-            raise ConfigError("no unperforated guarantee profile exists for rsvd")
-        return PeelConfig(
-            k=k,
-            s_R=math.ceil(k / beta**2),
-            t_R=1,
-            s_L=max(math.ceil(k / beta**4), math.ceil(k / beta**2)),
-            t_L=1,
-            variant=variant,
-            seed=seed,
-        )
-    if profile != "theory":
-        raise ConfigError(f"unknown profile {profile!r}")
-    c1, c2 = (30.0, 900.0) if variant == GENERALIZED_NYSTROM else (10.0, 100.0)
+    config = PeelConfig(k=k, s_R=k, variant=variant, seed=seed, beta=beta)
+    for i in range(3):
+        name, num, off, bound = _conditions(config)[i][:4]
+        x = off + max(1, math.ceil(num / bound))
+        while _ratio(num, x - 1, off) <= bound:
+            x -= 1
+        while _ratio(num, x, off) > bound:
+            x += 1
+        setattr(config, name, x)
+    if variant == RSVD:
+        config.s_L = config.s_R
+    return config
 
-    def smallest(start, pred):
-        v = start
-        while not pred(v):
-            v += 1
-        while v > start and pred(v - 1):
-            v -= 1
-        return v
 
-    s_R = smallest(k + 2, lambda s: k / (s - k - 1) <= beta / c1)
-    t_R = smallest(1, lambda t: k / ((s_R - k - 1) * t) <= beta**2 / c2)
-    if variant == GENERALIZED_NYSTROM:
-        s_L = smallest(s_R + 2, lambda s: s_R / (s - s_R - 1) <= beta**2 / c2)
-        t_L = 1
-    else:
-        s_L = s_R
-        t_L = smallest(1, lambda t: 1.0 / t <= beta**2 / c2)
-    return PeelConfig(
-        k=k, s_R=s_R, t_R=t_R, s_L=s_L, t_L=t_L, variant=variant, seed=seed, beta=beta
-    )
+def unperforated_config(k, beta, seed=0) -> PeelConfig:
+    """The t_R = t_L = 1 generalized Nystrom parameters s_R = ceil(k/beta^2),
+    s_L = ceil(k/beta^4) under which plain peeling attains the same
+    (1+beta)^(L+1) factor; the configuration desk-scale runs can actually
+    afford.  It leaves beta unset, since it does not satisfy the strict
+    guarantee conditions."""
+    if not 0 < beta < 1:
+        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    return PeelConfig(k=k, s_R=math.ceil(k / beta**2), s_L=math.ceil(k / beta**4), seed=seed)
 
 
 @dataclass
@@ -199,7 +193,6 @@ class PeelReport:
     forward_total: int = 0
     transpose_total: int = 0
     seconds: float = 0.0
-    final_error: float = None
 
 
 def expected_queries(config: PeelConfig, n: int) -> tuple[int, int]:
@@ -245,7 +238,7 @@ class _DenseDebug:
     """Per-level diagnostics against a dense reference copy of the operator.
 
     Checks the structured form of the range-sketch error term
-    E_j = sum_{i != j} xi_{i,rho} A^(l)_{j+-1,i} Omega_i and records the
+    E_j = sum_{i != j} xi_{i,rho} A^(l)_{j+-1,i} Omega_i and measures the
     per-level Frobenius recovery error.
     """
 
@@ -254,7 +247,6 @@ class _DenseDebug:
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
         self.residual = self.A.copy()
-        self.level_errors = []
 
     def block(self, d, i, j):
         m = self.A.shape[0] // d
@@ -284,8 +276,7 @@ class _DenseDebug:
         the level's Frobenius recovery error."""
         blocks = hodlr.block_view(self.residual, ell, 1)
         blocks -= stack.dense().reshape(blocks.shape)
-        self.level_errors.append(float(np.linalg.norm(blocks)))
-        return self.level_errors[-1]
+        return float(np.linalg.norm(blocks))
 
 
 def _regression_residual_ok(psi_t_q, X, Z):
@@ -426,9 +417,7 @@ def run_peel(
     L = hodlr.level_count(n, k)  # rejects incompatible (n, k)
     violations = config.theory_violations()
     if violations and not allow_invalid:
-        raise ConfigError(
-            "config fails guarantee validation: " + "; ".join(violations)
-        )
+        raise ConfigError(f"fails guarantee validation ({'; '.join(violations)})")
     level_step, leaf_sketch = _VARIANTS[config.variant]
     debug = _DenseDebug(dense_reference) if dense_reference is not None else None
     report = PeelReport(variant=config.variant)

@@ -119,12 +119,10 @@ def test_criterion_05_main_guarantee_desk_scale():
     """Dense Gaussian A (n=256, k=4, beta=0.5): Monte-Carlo mean of the
     squared error over 100 trials under (1+beta)^(L+1) times the optimum.
 
-    Uses the unperforated profile exposed by params_for_beta; the
-    theory-minimal config needs sketch widths near 1e6 at these constants,
-    far beyond desk scale."""
+    Uses ``peel.unperforated_config``; the theory-minimal config needs
+    sketch widths near 1e6 at these constants, far beyond desk scale."""
     t0 = time.time()
     k, beta, n = 4, 0.5, 256
-    profile = peel.params_for_beta(k, beta, profile="unperforated")
     A = stream(505, 0).standard_normal((n, n))
     op = linops.make_dense_operator(A)
     opt2 = np.linalg.norm(A - hodlr.best_hodlr(A, k).to_dense()) ** 2
@@ -132,11 +130,7 @@ def test_criterion_05_main_guarantee_desk_scale():
     bound = (1 + beta) ** (L + 1) * opt2
     errs = []
     for trial in range(100):
-        cfg = peel.PeelConfig(
-            k=k, s_R=profile.s_R, t_R=profile.t_R, s_L=profile.s_L,
-            t_L=profile.t_L, seed=trial,
-        )
-        H, _ = peel.run_peel(op, cfg)
+        H, _ = peel.run_peel(op, peel.unperforated_config(k, beta, seed=trial))
         errs.append(np.linalg.norm(A - H.to_dense()) ** 2)
     mean = float(np.mean(errs))
     elapsed = time.time() - t0

@@ -498,6 +498,13 @@ def test_best_hodlr_exact_on_hodlr_input():
     assert np.linalg.norm(A - He.to_dense()) <= 1e-12 * np.linalg.norm(A)
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 4)])
+def test_best_hodlr_rejects_non_square_input(shape):
+    with pytest.raises(StructureError) as err:
+        best_hodlr(np.zeros(shape), 1)
+    assert str(err.value) == f"need a square matrix, got {shape}"
+
+
 def test_best_hodlr_hard_block_value():
     # squared optimum equals 4 ||X||_F^2 = 4k on the adversarial block matrix
     from hodlrpeel import linops

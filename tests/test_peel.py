@@ -37,6 +37,14 @@ def test_config_defaults_and_sanity():
     with pytest.raises(ConfigError):
         PeelConfig(k=2, s_R=4, variant="other")
 
+    # sizes must be integers (numpy's too) and beta positive and finite,
+    # though not capped at 1
+    for bad in (dict(k=2.5), dict(s_R=3.0), dict(t_R=1.5), dict(s_L=4.0), dict(t_L=2.0),
+                dict(beta=float("nan")), dict(beta=float("inf")), dict(beta=0.0)):
+        with pytest.raises(ConfigError):
+            PeelConfig(**{"k": 2, "s_R": 3, **bad})
+    PeelConfig(k=np.int64(2), s_R=np.int32(3), t_R=np.int64(2), beta=1.5)
+
 
 def test_theory_violations_lists_failed_conditions():
     cfg = PeelConfig(k=2, s_R=4, s_L=8, beta=0.5)
@@ -51,6 +59,11 @@ def test_params_for_beta_worked_example():
     # independent integer scan confirms minimality of every returned value
     assert 1 / (cfg.s_R - 2) <= 0.03 < 1 / (cfg.s_R - 1 - 2)
     assert cfg.theory_violations() == []
+    # s_L near 1e8 at beta = 1/8: solved from closed-form roots, not by a scan
+    for beta, want in ((0.25, (969, 120, 13954570, 1)), (0.125, (1929, 240, 111112330, 1))):
+        cfg = params_for_beta(8, beta)
+        assert (cfg.s_R, cfg.t_R, cfg.s_L, cfg.t_L) == want
+        assert cfg.theory_violations() == []
 
 
 @pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
@@ -84,11 +97,10 @@ def test_params_for_beta_monotone_in_beta():
             assert getattr(b, field) >= getattr(a, field)
 
 
-def test_params_for_beta_unperforated_profile():
-    cfg = params_for_beta(4, 0.5, profile="unperforated")
+def test_unperforated_config():
+    cfg = peel.unperforated_config(4, 0.5)
     assert (cfg.s_R, cfg.t_R, cfg.s_L, cfg.t_L) == (16, 1, 64, 1)
-    with pytest.raises(ConfigError):
-        params_for_beta(4, 0.5, RSVD, profile="unperforated")
+    assert cfg.variant == GENERALIZED_NYSTROM and cfg.beta is None
 
 
 def test_invalid_config_rejected_unless_allowed():
