@@ -148,22 +148,41 @@ def _conditions(config):
 def params_for_beta(k, beta, variant=GENERALIZED_NYSTROM, seed=0):
     """Smallest integer parameters meeting the guarantee conditions, so the
     returned config always validates.  Each condition of ``_conditions`` is
-    solved in turn from its closed-form root, then stepped to the least
-    integer that the check itself accepts."""
+    solved in turn for the least integer that the check itself accepts."""
     if not 0 < beta < 1:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     config = PeelConfig(k=k, s_R=k, variant=variant, seed=seed, beta=beta)
     for i in range(3):
         name, num, off, bound = _conditions(config)[i][:4]
-        x = off + max(1, math.ceil(num / bound))
-        while _ratio(num, x - 1, off) <= bound:
-            x -= 1
-        while _ratio(num, x, off) > bound:
-            x += 1
-        setattr(config, name, x)
+        try:  # a bound that underflows to 0 divides by zero
+            setattr(config, name, _least_meeting(num, off, bound))
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError(f"beta={beta} needs {name} beyond float range") from None
     if variant == RSVD:
         config.s_L = config.s_R
     return config
+
+
+def _least_meeting(num, off, bound):
+    """Least integer x with ``_ratio(num, x, off) <= bound``.  The ratio
+    never rises with x, but past 2^53 neighbouring x can share a ratio, so
+    from the closed-form root gallop to a bracket and bisect it rather than
+    step one integer at a time."""
+
+    def meets(x):
+        return _ratio(num, x, off) <= bound
+
+    hi, step = off + max(1, math.ceil(num / bound)), 1
+    while not meets(hi):
+        hi, step = hi + step, 2 * step
+    lo, step = hi - 1, 1
+    while lo > off and meets(lo):
+        hi, lo, step = lo, lo - step, 2 * step
+    lo = max(lo, off)  # meets(off) is False: the ratio is infinite there
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
 def unperforated_config(k, beta, seed=0) -> PeelConfig:
@@ -174,6 +193,8 @@ def unperforated_config(k, beta, seed=0) -> PeelConfig:
     guarantee conditions."""
     if not 0 < beta < 1:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    if not beta**4 > 0 or not math.isfinite(k / beta**4):
+        raise ConfigError(f"beta={beta} needs s_L = k/beta^4 beyond float range")
     return PeelConfig(k=k, s_R=math.ceil(k / beta**2), s_L=math.ceil(k / beta**4), seed=seed)
 
 

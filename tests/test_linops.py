@@ -86,6 +86,35 @@ def test_forward_transpose_consistency(make):
     assert np.linalg.norm(out - M.T @ X) <= 1e-10 * max(np.linalg.norm(M.T @ X), 1.0)
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        linops.make_exp_hard_instance(10, 7.0).materialize(),
+        stream(1, 3).standard_normal((300, 300)),
+    ],
+    ids=["exp_hard_1024", "gaussian_300"],
+)
+def test_dense_transpose_matches_explicit_transpose(M):
+    # the transpose side is computed as (X^T M)^T; M is not symmetric here
+    n = M.shape[0]
+    assert not np.array_equal(M, M.T)
+    op = linops.make_dense_operator(M)
+    wide = stream(1, 4).standard_normal((n, 2 * 64))
+    blocks = [stream(1, 5, w).standard_normal((n, w)) for w in (0, 1, 2, 3, 17, 64)]
+    blocks.append(wide[:, ::2])  # a non-contiguous column slice, width 64
+    for X in blocks:
+        before = op.counter.transpose_count
+        out = op.apply(X, TRANSPOSE)
+        want = M.T @ X
+        assert out.shape == (n, X.shape[1])
+        assert np.linalg.norm(out - want) <= 1e-14 * np.linalg.norm(want)
+        assert op.counter.transpose_count == before + X.shape[1]
+    x = stream(1, 6).standard_normal(n)
+    out = op.apply(x, TRANSPOSE)
+    assert out.shape == (n,)
+    assert np.linalg.norm(out - M.T @ x) <= 1e-14 * np.linalg.norm(M.T @ x)
+
+
 # Poisson operator ------------------------------------------------------------
 
 def dense_poisson_oracle(t):
@@ -107,6 +136,18 @@ def test_poisson_against_dft_oracle_and_symmetry():
     M = dense_from_queries(op)
     np.testing.assert_allclose(M, dense_poisson_oracle(t), atol=1e-12)
     assert np.linalg.norm(M - M.T) <= 1e-12 * np.linalg.norm(M)
+
+
+def test_poisson_product_leaves_input_and_repeats_bitwise():
+    # the half spectrum is scaled in place, which must not reach X
+    op = linops.make_poisson_operator(16)
+    X = stream(1, 7).standard_normal((op.n, 5))
+    X0 = X.copy()
+    first = op.apply(X, FORWARD)
+    assert np.array_equal(X, X0)
+    assert np.array_equal(op.apply(X, FORWARD), first)
+    assert np.array_equal(op.apply(X, TRANSPOSE), first)
+    assert op.apply(np.zeros((op.n, 0)), FORWARD).shape == (op.n, 0)
 
 
 def test_poisson_single_mode_eigenvector():

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,39 @@ def test_unperforated_config():
     cfg = peel.unperforated_config(4, 0.5)
     assert (cfg.s_R, cfg.t_R, cfg.s_L, cfg.t_L) == (16, 1, 64, 1)
     assert cfg.variant == GENERALIZED_NYSTROM and cfg.beta is None
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("beta", [1e-5, 1e-8, 1e-170])
+@pytest.mark.parametrize("k", [1, 8])
+def test_small_beta_validates_or_raises_within_a_second(k, beta):
+    # past 2^53 neighbouring integers share a ratio num/(x - off), so a
+    # search stepping one integer at a time never returns; a bound that
+    # underflows to 0 has no solution at all
+    makers = [(params_for_beta, GENERALIZED_NYSTROM), (params_for_beta, RSVD),
+              (peel.unperforated_config,)]
+    for make, *variant in makers:
+        with _deadline(1.0):
+            try:
+                cfg = make(k, beta, *variant)
+            except ConfigError as exc:
+                assert f"beta={beta}" in str(exc)
+            else:
+                assert cfg.theory_violations() == []
 
 
 def test_invalid_config_rejected_unless_allowed():
