@@ -164,24 +164,15 @@ def params_for_beta(k, beta, variant=GENERALIZED_NYSTROM, seed=0):
 
 
 def _least_meeting(num, off, bound):
-    """Least integer x with ``_ratio(num, x, off) <= bound``.  The ratio
-    never rises with x, but past 2^53 neighbouring x can share a ratio, so
-    from the closed-form root gallop to a bracket and bisect it rather than
-    step one integer at a time."""
-
-    def meets(x):
-        return _ratio(num, x, off) <= bound
-
-    hi, step = off + max(1, math.ceil(num / bound)), 1
-    while not meets(hi):
-        hi, step = hi + step, 2 * step
-    lo, step = hi - 1, 1
-    while lo > off and meets(lo):
-        hi, lo, step = lo, lo - step, 2 * step
-    lo = max(lo, off)  # meets(off) is False: the ratio is infinite there
+    """Least integer x with ``_ratio(num, x, off) <= bound``, bisected
+    between off, where the ratio is infinite, and twice the closed-form
+    root, where rounding cannot break it.  The ratio never rises with x, but
+    past 2^53 neighbouring x can share a ratio, so a search stepping one
+    integer at a time need not end."""
+    lo, hi = off, off + 2 * max(1, math.ceil(num / bound))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+        lo, hi = (lo, mid) if _ratio(num, mid, off) <= bound else (mid, hi)
     return hi
 
 
