@@ -107,9 +107,10 @@ def make_dense_operator(M, name="dense") -> LinearOperator:
 
     The transpose side is computed as (X^T M)^T, which reads a row-major M
     in its stored order: M^T X runs the GEMM on a transposed operand, about
-    twice as slow at n = 1024 on OpenBLAS, and for two or more columns both
-    forms give the same bits.  The forward side stays M X, since
-    (X^T M^T)^T rounds differently from it at n <= 256 with a few columns.
+    1.6 times as slow for 2 columns at n = 1024 on OpenBLAS, and for two or
+    more columns both forms give the same bits.  The forward side stays M X,
+    since (X^T M^T)^T rounds differently from it at n <= 256 with a few
+    columns.
     """
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
