@@ -91,7 +91,8 @@ def _trial_seed(root_seed, *key) -> int:
 
 class GridError(ValueError):
     """An experiment grid that cannot run: an axis the experiment does not
-    have, or a cell with no operator, no HODLR layout or no config."""
+    have, or a cell with no operator, no HODLR layout or no config, or
+    above the dense limit its errors are measured at."""
 
 
 # Scale of the two hard instances; no grid axis sets it.
@@ -187,7 +188,10 @@ def _checked_cells(name, grid, seed) -> dict:
     cells = {**{key: [v] for key, v in spec.fixed.items()}, **spec.grid, **grid}
     for n, k in itertools.product(cells["n"], cells["k"]):
         try:
-            hodlr.level_count(spec.operator(n, k, seed).n, k)
+            op = spec.operator(n, k, seed)
+            if op.n > (limit := linops.DESK_SCALE_LIMIT):  # errors are taken densely
+                raise ValueError(f"n={op.n} is above DESK_SCALE_LIMIT = {limit}")
+            hodlr.level_count(op.n, k)
             _cell_configs(cells, k)
         except linops.DimensionError as exc:  # the size rules name their operator
             raise GridError(str(exc)) from None

@@ -150,24 +150,6 @@ def make_poisson_operator(t: int) -> LinearOperator:
     return LinearOperator(n, apply, apply, name=f"poisson(t={t})")
 
 
-def poisson_spectral_laplacian(t: int) -> np.ndarray:
-    """Dense spectral periodic Laplacian, the (pseudo-)inverse of the Poisson
-    operator on the mean-zero subspace.  Oracle helper, desk scale only."""
-    t = int(t)
-    n = t * t
-    if n > DESK_SCALE_LIMIT:
-        raise DimensionError(f"n={n} > {DESK_SCALE_LIMIT}")
-    idx = np.arange(t)
-    kappa = np.where(idx <= t // 2 - 1, idx, idx - t).astype(float)
-    mult = -(kappa[:, None] ** 2 + kappa[None, :] ** 2)
-
-    def apply(X):
-        F = np.fft.fft2(X.T.reshape(-1, t, t))
-        return np.fft.ifft2(mult[None, :, :] * F).real.reshape(-1, n).T
-
-    return apply(np.eye(n))
-
-
 def make_kernel_operator(points) -> LinearOperator:
     """Inverse-distance kernel matrix of a 3-d point cloud (zero diagonal).
 
@@ -224,17 +206,32 @@ def make_hard_block_instance(k: int, eta: float) -> LinearOperator:
 def make_exp_hard_instance(L: int, eta: float) -> LinearOperator:
     """n = 2^L instance on which truncated RSVD peeling doubles its error at
     every level: ones in column 1 at odd rows, eta in column 2 at rows
-    2, 4, 8, ..., 2^L (1-based throughout)."""
+    2, 4, 8, ..., 2^L (1-based throughout).
+
+    Matrix-free, O(n w) per product of w columns.  No row has two nonzeros,
+    so the forward side equals the dense product bit for bit; the transpose
+    side's two column sums round in their own order."""
     L = int(L)
     if L < 2:
         raise DimensionError(f"exp-hard instance needs at least two levels, got L={L}")
     if not np.isfinite(eta):
         raise DimensionError(f"eta must be finite, got {eta}")
     n = 2**L
-    A = np.zeros((n, n))
-    A[0::2, 0] = 1.0  # 1-based odd rows
-    A[2 ** np.arange(1, L + 1) - 1, 1] = eta
-    return make_dense_operator(A, name=f"exp_hard(n={n})")
+    spikes = 2 ** np.arange(1, L + 1) - 1  # 0-based rows of column 2's etas
+
+    def forward(X):
+        out = np.zeros(X.shape)
+        out[0::2] = X[0]
+        out[spikes] = eta * X[1]
+        return out
+
+    def transpose(X):
+        out = np.zeros(X.shape)
+        out[0] = X[0::2].sum(axis=0)
+        out[1] = eta * X[spikes].sum(axis=0)
+        return out
+
+    return LinearOperator(n, forward, transpose, name=f"exp_hard(n={n})")
 
 
 # CSV interchange for point clouds and small dense matrices.

@@ -193,6 +193,11 @@ def _bench_case(argv, message):
                 "poisson at n=36, k=8: n=36 is not n_base * 2^3; no valid HODLR layout"),
     _bench_case(("kernel", "--n", "8192"), "kernel operator is desk scale: n=8192 > 4096"),
     _bench_case(("exp_hard", "--n", "2"), "exp-hard instance needs at least two levels, got L=1"),
+    # operators above the dense limit: the errors are measured on the dense matrix
+    _bench_case(("poisson", "--n", "16384", "--trials", "1"),
+                "poisson at n=16384, k=8: n=16384 is above DESK_SCALE_LIMIT = 4096"),
+    _bench_case(("exp_hard", "--n", "8192"),
+                "exp_hard at n=8192, k=1: n=8192 is above DESK_SCALE_LIMIT = 4096"),
     # options the experiment has no axis for
     _bench_case(("exp_hard", "--k", "4"),
                 "--k does not apply to exp_hard: the instance fixes k = 1"),

@@ -19,7 +19,8 @@ also changes with the BLAS thread count, so the runs are made in one child
 process with BLAS pinned to one thread.  ``python tests/test_golden.py``
 prints the digests of the current code as JSON; with ``--dense DIR`` it also
 writes each pinned run's ``H.to_dense()`` to ``DIR/<key>.npy``, so that two
-trees' outputs can be compared entry by entry when a change moves a digest.
+trees' outputs can be compared entry by entry when a change moves a digest;
+``--compare DIR_A DIR_B`` does that comparison.
 """
 
 import argparse
@@ -54,12 +55,12 @@ PEEL_DIGESTS = {
     ("poisson", "RSVD1", "full"): "7f95eaa65ec2be22ef45f4596e54d44e930339b3cf1382c0af7b72b1a061c889",
     ("poisson", "RSVD2", "trunc"): "0dec552a988f95b3cdc7759460485e9d91a5c499c95c8168be77a31a8ce7fdb6",
     ("poisson", "RSVD2", "full"): "dae006bdcc905d3c8aa26322f855be465f688274f8e533964c8adad2708f4fe2",
-    ("exp_hard", "GN2", "trunc"): "ec7aed958017a18a75470f1c0272610342d7c0a6f0f787e9b47244d617aec732",
-    ("exp_hard", "GN2", "full"): "ef752bb10a9fd43a7f880236cbdf613a4019fa30b9b12d1e643cfaf4e406e783",
-    ("exp_hard", "RSVD1", "trunc"): "1fc93b30cbc2573ed9ef6c2dce35d06f6400a88e97406b49b3e650b93d3c7dc0",
-    ("exp_hard", "RSVD1", "full"): "e5643325f82928ea3d44908c75a2b66d486e8d9c1ccbe75c328c42da622dac21",
+    ("exp_hard", "GN2", "trunc"): "561b1c36305b75b0e7b903d1226c51e8960b27a762efe90f93d0d71de9e00c1c",
+    ("exp_hard", "GN2", "full"): "47d00335e6e07da498051fcdf2b588371a8f49147df48602eb05297e61daff3b",
+    ("exp_hard", "RSVD1", "trunc"): "1fbecbeabd7f1811d769204a251739481118336d19f4ce7421d05f73a95d934d",
+    ("exp_hard", "RSVD1", "full"): "982400bba03fbaf67eab3ee24ab4251c8bee329a4131882daf4a8bd6d4dbdb01",
     ("exp_hard", "RSVD2", "trunc"): "8d7990666cfe4ed0c4ed89f74a62fa14649e311f7530b8815cace310241debd4",
-    ("exp_hard", "RSVD2", "full"): "8c8a32d198832ff7325afcedddad4be8d57d4a2c8dc13e659c4c50a7b8ae7d8f",
+    ("exp_hard", "RSVD2", "full"): "99ff09c3114957181c85a5911b5ff1ef8b1bd3940724df8fafc5a2af467679d2",
 }
 RECOVER_DIGEST = "37d4bcc7cdd94f39ae8c6cca459b5b3fe723cd5ec0a62923bf447ba68ed8c0d7"
 RECOVERY_CSV_DIGEST = "ec61a1b838dd8ee14c1e431ddaa1813f2d61f65c6081c819142153c282228e79"
@@ -140,8 +141,56 @@ def test_recovery_csv_digest(measured):
     assert measured["recovery_csv"] == RECOVERY_CSV_DIGEST
 
 
+# Largest relative Frobenius distance between two trees' H for a change
+# that moves digests only through rounding.
+DENSE_TOL = 1e-12
+
+
+def compare(dir_a, dir_b) -> bool:
+    """Print ||A - B||_F / ||A||_F for every run that ``--dense`` writes,
+    reading A from dir_a and B from dir_b; True if all are present, of one
+    shape and within DENSE_TOL."""
+    ok = True
+    for key in [*map("/".join, PEEL_DIGESTS), "exact_recover"]:
+        try:
+            A, B = (np.load(os.path.join(d, key + ".npy")) for d in (dir_a, dir_b))
+        except OSError as exc:
+            print(f"{key}: missing ({exc})")
+            ok = False
+            continue
+        rel = np.linalg.norm(A - B) / np.linalg.norm(A) if A.shape == B.shape else np.inf
+        good = rel <= DENSE_TOL  # NaN fails too
+        print(f"{key}: {rel:.3g}" + ("" if good else f" above {DENSE_TOL:g}"))
+        ok &= good
+    return ok
+
+
+def test_compare_flags_distant_and_missing_runs(tmp_path, capsys):
+    keys = [*map("/".join, PEEL_DIGESTS), "exact_recover"]
+    for side in "ab":
+        for key in keys:
+            os.makedirs(tmp_path / side / os.path.dirname(key), exist_ok=True)
+            np.save(tmp_path / side / (key + ".npy"), np.eye(4))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert compare(a, b)
+    np.save(b / "exp_hard/GN2/full.npy", np.eye(4) * (1 + 1e-15))
+    assert compare(a, b)
+    np.save(b / "exp_hard/GN2/full.npy", np.eye(4) * (1 + 1e-11))
+    assert not compare(a, b)
+    np.save(b / "exp_hard/GN2/full.npy", np.eye(4))
+    os.remove(b / "exact_recover.npy")
+    assert not compare(a, b)
+    assert "exact_recover: missing" in capsys.readouterr().out
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print the golden digests as JSON.")
     parser.add_argument("--dense", metavar="DIR",
                         help="also write each run's H.to_dense() to DIR/<key>.npy")
-    print(json.dumps(digests(parser.parse_args().dense), indent=1))
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="compare two --dense outputs instead; exit 1 if any run"
+                             f" is missing or differs by more than {DENSE_TOL:g} relative")
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(0 if compare(*args.compare) else 1)
+    print(json.dumps(digests(args.dense), indent=1))

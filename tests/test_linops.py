@@ -130,6 +130,17 @@ def dense_poisson_oracle(t):
     return np.real(np.linalg.inv(F2) @ np.diag(D.ravel()) @ F2)
 
 
+def poisson_spectral_laplacian(t):
+    """Dense spectral periodic Laplacian, the (pseudo-)inverse of the Poisson
+    operator on the mean-zero subspace."""
+    n = t * t
+    idx = np.arange(t)
+    kappa = np.where(idx <= t // 2 - 1, idx, idx - t).astype(float)
+    mult = -(kappa[:, None] ** 2 + kappa[None, :] ** 2)
+    F = np.fft.fft2(np.eye(n).reshape(-1, t, t))
+    return np.fft.ifft2(mult[None, :, :] * F).real.reshape(-1, n).T
+
+
 def test_poisson_against_dft_oracle_and_symmetry():
     t = 4
     op = linops.make_poisson_operator(t)
@@ -170,7 +181,7 @@ def test_poisson_pseudoinverse_of_spectral_laplacian():
     t = 8
     n = t * t
     op = linops.make_poisson_operator(t)
-    Lap = linops.poisson_spectral_laplacian(t)
+    Lap = poisson_spectral_laplacian(t)
     A = dense_from_queries(op)
     P = np.eye(n) - np.ones((n, n)) / n  # projector onto mean-zero
     assert np.linalg.norm(Lap @ A - P) <= 1e-8 * np.linalg.norm(P)
@@ -244,6 +255,50 @@ def test_exp_hard_eta_zero_degenerates():
     A = linops.make_exp_hard_instance(3, 1e-300).materialize()
     A[np.abs(A) < 1e-100] = 0.0
     assert np.count_nonzero(A[:, 1:]) == 0
+
+
+@pytest.mark.parametrize("eta", [7.0, 1e8])
+def test_exp_hard_products_match_its_dense_matrix(eta):
+    # forward copies and scales rows of X, which is what the dense product
+    # does when every row has at most one nonzero; the transpose sums rows
+    # in another order than the GEMM (a one-column seeded sweep read up to
+    # 2.4e-15 relative)
+    op = linops.make_exp_hard_instance(10, eta)
+    A = op.materialize()
+    blocks = [stream(8, w).standard_normal((op.n, w)) for w in (0, 1, 2, 17, 64)]
+    blocks.append(stream(8, 100).standard_normal((op.n, 32))[:, ::2])  # non-contiguous
+    blocks.append(np.asfortranarray(stream(8, 101).standard_normal((op.n, 5))))
+    for X in blocks:
+        X0 = X.copy()
+        assert np.array_equal(op.apply(X, FORWARD), A @ X)
+        out, want = op.apply(X, TRANSPOSE), A.T @ X
+        assert out.shape == want.shape
+        assert np.linalg.norm(out - want) <= 4e-15 * np.linalg.norm(want)
+        assert np.array_equal(X, X0)
+    x = stream(8, 102).standard_normal(op.n)
+    assert np.array_equal(op.apply(x, FORWARD), A @ x)
+    cols = sum(X.shape[1] for X in blocks)
+    assert op.counter.snapshot() == (cols + 1, cols)
+
+
+def test_exp_hard_builds_and_applies_far_above_the_dense_limit():
+    # L = 16: a dense matrix would need 32 GB
+    L, eta = 16, 3.0
+    op = linops.make_exp_hard_instance(L, eta)
+    n = op.n
+    E = np.zeros((n, 2))
+    E[0, 0] = E[1, 1] = 1.0
+    cols = op.apply(E, FORWARD)  # columns 1 and 2 of A
+    assert list(np.flatnonzero(cols[:, 0]) + 1) == list(range(1, n, 2))
+    assert list(np.flatnonzero(cols[:, 1]) + 1) == [2**j for j in range(1, L + 1)]
+    assert set(cols[:, 0]) == {0.0, 1.0} and set(cols[:, 1]) == {0.0, eta}
+    # the transpose side is the adjoint of the forward side
+    X, Y = stream(9, 1).standard_normal((n, 2)), stream(9, 2).standard_normal((n, 2))
+    lhs, rhs = op.apply(X, TRANSPOSE).T @ Y, X.T @ op.apply(Y, FORWARD)
+    assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
+    assert op.counter.snapshot() == (4, 2)
+    with pytest.raises(linops.DimensionError, match="refusing to materialize"):
+        op.materialize()
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
