@@ -29,10 +29,8 @@ from .lowrank import (
     NoiseModel,
     gn_error_bound,
     gn_from_sketches,
-    gnm,
     orth,
     pinv_solve,
-    rsvd,
     rsvd_perturb_bound_rhs,
     truncated_svd,
 )

@@ -177,8 +177,8 @@ def _cell_configs(cells, k) -> list:
 
 def _checked_cells(name, grid, seed) -> dict:
     """Every axis of experiment ``name`` with ``grid`` overriding its
-    defaults, after building the operator and configs of every (n, k) cell;
-    raises GridError before anything runs."""
+    defaults, after building the configs and, within the dense limit, the
+    operator of every (n, k) cell; raises GridError before anything runs."""
     spec = GRID_EXPERIMENTS[name]
     for key in grid:
         if key not in spec.grid:
@@ -186,12 +186,17 @@ def _checked_cells(name, grid, seed) -> dict:
                    else f"its axes are {', '.join(spec.grid)}")
             raise GridError(f"--{key} does not apply to {name}: {why}")
     cells = {**{key: [v] for key, v in spec.fixed.items()}, **spec.grid, **grid}
+    limit = linops.DESK_SCALE_LIMIT
     for n, k in itertools.product(cells["n"], cells["k"]):
         try:
-            op = spec.operator(n, k, seed)
-            if op.n > (limit := linops.DESK_SCALE_LIMIT):  # errors are taken densely
-                raise ValueError(f"n={op.n} is above DESK_SCALE_LIMIT = {limit}")
-            hodlr.level_count(op.n, k)
+            # Errors are taken densely, so a cell above the limit is refused;
+            # the hard-block one (n = 8k) before its dense instance is built.
+            size = 8 * k if n == "8k" else None
+            if size is None or size <= limit:
+                size = spec.operator(n, k, seed).n
+            if size > limit:
+                raise ValueError(f"n={size} is above DESK_SCALE_LIMIT = {limit}")
+            hodlr.level_count(size, k)
             _cell_configs(cells, k)
         except linops.DimensionError as exc:  # the size rules name their operator
             raise GridError(str(exc)) from None
@@ -457,10 +462,3 @@ def write_config_stamp(path, experiment, settings: dict) -> None:
     cp[experiment] = {key: _fmt(val) for key, val in sorted(settings.items())}
     with open(path, "w") as fh:
         cp.write(fh)
-
-
-def load_config(path) -> dict:
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    return {sec: dict(cp[sec]) for sec in cp.sections()}

@@ -9,6 +9,8 @@ import threading
 
 import numpy as np
 
+from .halves import in_halves
+
 FORWARD = "forward"
 TRANSPOSE = "transpose"
 
@@ -141,11 +143,21 @@ def make_poisson_operator(t: int) -> LinearOperator:
     n = t * t
 
     def apply(X):
-        # Columns are row-major t x t grids; FFT them as a batch.
-        F = np.fft.rfft2(X.T.reshape(-1, t, t))
-        F *= D_half  # in place: F is the transform's own output, not X
-        out = np.fft.irfft2(F, s=(t, t))
-        return out.reshape(-1, n).T
+        # Columns are row-major t x t grids; FFT them as a batch, in two
+        # halves of columns on two cores.  The output is a row-major n x w
+        # block, the layout irfft2 gives and the sketch reads expect.
+        out = np.empty(X.shape)
+        grids = out.T.reshape(-1, t, t)  # a view: grids[j] is column j
+
+        def columns(lo, hi):
+            F = np.fft.rfft2(X[:, lo:hi].T.reshape(-1, t, t))
+            F *= D_half  # in place: F is the transform's own output, not X
+            # irfft2's own steps, written into the output: irfft2(out=) is
+            # not honoured on numpy 2.4 (a fresh array comes back).
+            np.fft.irfft(np.fft.ifft(F, axis=-2), n=t, axis=-1, out=grids[lo:hi])
+
+        in_halves(columns, X.shape[1], X.size)
+        return out
 
     return LinearOperator(n, apply, apply, name=f"poisson(t={t})")
 

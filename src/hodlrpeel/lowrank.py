@@ -1,28 +1,28 @@
 """Low-rank approximation primitives and executable error bounds.
 
-Truncated SVD, a deterministic rank-revealing orth, randomized SVD and the
-generalized Nystrom method (both matrix-free), the in-peeling "from sketches"
-form, and evaluators for the deterministic projection perturbation bound and
-the expected-error bound that certify them.
+Truncated SVD, a deterministic rank-revealing orth, the generalized Nystrom
+method in its in-peeling "from sketches" form, and evaluators for the
+deterministic projection perturbation bound and the expected-error bound that
+certify sketched low-rank approximation.
 
 ``truncate_factor`` is the one rank-k truncation of a sketched factor
-Q [[X]]_k: randomized SVD, generalized Nystrom, the peeling steps built on
-them and the bound checks all cut through it.  ``truncated_svd`` is the cut
-of a plain matrix.  These two, ``orth``, ``pinv_solve`` and
-``gn_from_sketches`` take a single matrix or a stack with leading batch axes,
-through one code path for both, so that peeling factors all 2^l blocks of a
-level with one LAPACK call each.  Stacked factors are padded to the largest
-rank of the stack (see ``LowRankFactors``); such a stack is also how a HODLR
-level is stored.
-Stacks may be strided views, such as the partner view of a level's Gaussian
-blocks; nothing here copies them.
+Q [[X]]_k: both peeling steps and the bound checks cut through it.
+``truncated_svd`` is the cut of a plain matrix.  These two, ``orth``,
+``pinv_solve`` and ``gn_from_sketches`` take a single matrix or a stack with
+leading batch axes, through one code path for both, so that peeling factors
+all 2^l blocks of a level with one LAPACK call each; ``orth``, ``pinv_solve``
+and ``truncate_factor`` split a large stack's call in two halves on two
+cores, with the same bits.  Stacked factors are padded to the largest rank of
+the stack (see ``LowRankFactors``); such a stack is also how a HODLR level is
+stored.  Stacks may be strided views, such as the partner view of a level's
+Gaussian blocks; nothing here copies them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linops
+from .halves import in_halves
 
 EPS = np.finfo(float).eps
 
@@ -63,10 +63,6 @@ class LowRankFactors:
         return [LowRankFactors(Q=q[:, :r], X=x[:r]) for q, x, r in zip(Q, X, ranks)]
 
 
-def empty_factors(m1: int, m2: int) -> LowRankFactors:
-    return LowRankFactors(Q=np.zeros((m1, 0)), X=np.zeros((0, m2)))
-
-
 def _t(A) -> np.ndarray:
     """Transpose of each matrix in a stack."""
     return np.swapaxes(A, -1, -2)
@@ -77,6 +73,21 @@ def column_ranks(Q) -> np.ndarray:
     (the kept columns are unit vectors, the padding exact zeros); a 0-d
     array for a single matrix."""
     return np.asarray(np.count_nonzero(np.any(Q != 0.0, axis=-2), axis=-1))
+
+
+def _svd(A) -> list:
+    """Thin SVD (U, s, Vt) of a matrix or a stack.  A large stack is factored
+    in two halves of its outermost batch axis longer than 1 (for the peel's
+    stacks, the halves of the flattened batch), on two cores and without a
+    copy; each matrix is factored alone either way, so the bits are those of
+    one call."""
+    axis = next((i for i, size in enumerate(A.shape[:-2]) if size > 1), None)
+    if axis is None:
+        return np.linalg.svd(A, full_matrices=False)
+    head = (slice(None),) * axis
+    parts = in_halves(lambda lo, hi: np.linalg.svd(A[head + (slice(lo, hi),)], full_matrices=False),
+                      A.shape[axis], A.size)
+    return [np.concatenate(f, axis) if len(f) > 1 else f[0] for f in zip(*parts)]
 
 
 def truncated_svd(B, k: int) -> LowRankFactors:
@@ -115,7 +126,7 @@ def orth(Y) -> np.ndarray:
     m, s = Y.shape[-2:]
     if min(m, s) == 0:
         return np.zeros(Y.shape[:-1] + (0,))
-    U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+    U, sv, _ = _svd(Y)
     keep = sv > EPS * max(m, s) * sv[..., :1]
     r = int(keep.sum(axis=-1).max())
     Q = np.where(keep[..., None, :r], U[..., :r], 0.0)
@@ -138,44 +149,10 @@ def pinv_solve(A, B) -> np.ndarray:
     if min(p, q) == 0:
         batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
         return np.zeros(batch + (q, B.shape[-1]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, Vt = _svd(A)
     keep = s > EPS * max(p, q) * s[..., :1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     return _t(Vt) @ (inv[..., :, None] * (_t(U) @ B))
-
-
-def _as_operator(op):
-    if isinstance(op, linops.LinearOperator):
-        return op
-    return linops.make_dense_operator(op)
-
-
-def rsvd(op, k, s_R, rng) -> LowRankFactors:
-    """Randomized SVD: Q = orth(B Omega), then the best rank-k approximation
-    of B inside range(Q).  Uses s_R forward and rank(Q) transpose queries."""
-    if s_R < k:
-        raise RankError(f"sketch width {s_R} below target rank {k}")
-    op = _as_operator(op)
-    Omega = rng.standard_normal((op.n, s_R))
-    Q = orth(op.apply(Omega, linops.FORWARD))
-    if Q.shape[1] == 0:
-        return empty_factors(op.n, op.n)
-    X = op.apply(Q, linops.TRANSPOSE).T  # Q^T B via transpose products
-    return truncate_factor(Q, X, k)
-
-
-def gnm(op, k, s_R, s_L, rng) -> LowRankFactors:
-    """Generalized Nystrom: range from a right sketch, then the sketched
-    regression argmin_Z ||Psi^T B - Psi^T Q Z||_F solved by pseudoinverse."""
-    if not (s_L >= s_R >= k >= 1):
-        raise RankError(f"need s_L >= s_R >= k >= 1, got ({k}, {s_R}, {s_L})")
-    op = _as_operator(op)
-    Omega = rng.standard_normal((op.n, s_R))
-    Psi = rng.standard_normal((op.n, s_L))
-    Y = op.apply(Omega, linops.FORWARD)
-    if not np.any(Y):
-        return empty_factors(op.n, op.n)
-    return gn_from_sketches(Y, op.apply(Psi, linops.TRANSPOSE).T, Psi, k)
 
 
 def gn_from_sketches(Y, Z, Psi, k=None) -> LowRankFactors:
@@ -215,7 +192,7 @@ def truncate_factor(Q, X, k=None) -> LowRankFactors:
     if k is None:
         k = X.shape[-2]
     if X.shape[-2] > min(k, X.shape[-1]):
-        U, s, Vt = np.linalg.svd(_zero_rows(X, ranks), full_matrices=False)
+        U, s, Vt = _svd(_zero_rows(X, ranks))
         X = s[..., :k, None] * Vt[..., :k, :]
         ranks = np.minimum(ranks, X.shape[-2])
         # The SVD leaves rounding, not zeros, in the columns past a rank.

@@ -8,6 +8,8 @@ replaying the draws that preceded it.
 
 import numpy as np
 
+from .halves import in_halves
+
 # Role tags used to key sketch streams inside the peeling algorithms.
 ROLE_RIGHT = 0
 ROLE_LEFT = 1
@@ -38,7 +40,8 @@ def fill_normal_blocks(out: np.ndarray, seed: int, *key: int) -> np.ndarray:
     for bit, reseeding one generator.  The children's entropy differs only in
     its last word, which SeedSequence mixes last: the pool of (seed, *key) is
     each child's pool before it, and the rest of the hash runs on uint32
-    arrays over all children at once.  PCG64 is seeded as ``srandom`` does."""
+    arrays over all children at once.  PCG64 is seeded as ``srandom`` does.
+    A large family is filled in two halves of its blocks on two cores."""
     d = len(out)
     pool = seed_sequence(seed, *key).pool
     # A spawned sequence pads its seed to the 4-word pool; 4 hash steps a word.
@@ -61,11 +64,17 @@ def fill_normal_blocks(out: np.ndarray, seed: int, *key: int) -> np.ndarray:
     hashed = np.bitwise_xor(np.tile(mixed, (2, 1)), c_out[:8], out=state.T)
     hashed *= c_out[1:]
     hashed ^= np.right_shift(hashed, 16, out=tmp)
-    gen = np.random.default_rng(0)
-    for block, (s_hi, s_lo, i_hi, i_lo) in zip(out, state.view("<u8").tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
-        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % (1 << 128)
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": pcg, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=block)
+    states = state.view("<u8").tolist()
+
+    def fill(lo, hi):  # one generator per half of the blocks
+        gen = np.random.default_rng(0)
+        for block, (s_hi, s_lo, i_hi, i_lo) in zip(out[lo:hi], states[lo:hi]):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % (1 << 128)
+            pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % (1 << 128)
+            gen.bit_generator.state = {"bit_generator": "PCG64",
+                                       "state": {"state": pcg, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=block)
+
+    in_halves(fill, d, out.size)
     return out

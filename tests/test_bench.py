@@ -4,16 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from hodlrpeel import bench, peel
+from hodlrpeel import bench, linops, peel
 from hodlrpeel.bench import (
     emit,
-    load_config,
     preset_config,
     relative_error,
     run_experiment,
     write_config_stamp,
 )
 from hodlrpeel.rng import stream
+
+from helpers import load_config
 
 
 # relative_error ---------------------------------------------------------------
@@ -183,6 +184,15 @@ def test_bad_grid_raises_before_any_peel(monkeypatch, grid):
     monkeypatch.setattr(peel, "run_peel", no_peel)
     with pytest.raises(bench.GridError):
         run_experiment("poisson", grid, trials=1, seed=0)
+
+
+def test_hard_block_above_the_dense_limit_is_refused_before_it_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the instance was built before its size was checked")
+
+    monkeypatch.setattr(linops, "make_hard_block_instance", no_build)
+    with pytest.raises(bench.GridError, match="n=8192 is above DESK_SCALE_LIMIT"):
+        bench._checked_cells("hard_block", {"k": [1024]}, 0)
 
 
 # output --------------------------------------------------------------------------

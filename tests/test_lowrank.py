@@ -11,15 +11,15 @@ from hodlrpeel.lowrank import (
     RankError,
     gn_error_bound,
     gn_from_sketches,
-    gnm,
     orth,
     pinv_solve,
-    rsvd,
     rsvd_perturb_bound_rhs,
     truncate_factor,
     truncated_svd,
 )
 from hodlrpeel.rng import stream
+
+from helpers import gnm, rsvd
 
 
 def decaying_matrix(m, rate, key):
