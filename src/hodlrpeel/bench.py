@@ -118,6 +118,13 @@ def _kernel_operator(n, k, seed):
     return linops.make_kernel_operator(linops.helix_points(n, stream(seed, 10_000 + n)))
 
 
+def _hard_block_operator(n, k, seed):
+    # Dense, of order 8k: a cell above the limit is refused before it is built.
+    if 8 * k > linops.DESK_SCALE_LIMIT:
+        raise ValueError(f"n={8 * k} is above DESK_SCALE_LIMIT = {linops.DESK_SCALE_LIMIT}")
+    return linops.make_hard_block_instance(k, HARD_INSTANCE_ETA)
+
+
 def _recovery_operator(n, k, seed):
     H = hodlr.random_hodlr(n, k, stream(seed, 20_000 + n, k))
     return linops.make_dense_operator(H.to_dense())
@@ -147,7 +154,7 @@ GRID_EXPERIMENTS = {
         {}, 5,
     ),
     "hard_block": Experiment(
-        lambda n, k, seed: linops.make_hard_block_instance(k, HARD_INSTANCE_ETA),
+        _hard_block_operator,
         {"k": [1], "beta": [0.25], "preset": ["RSVD1", "GN1"]},
         {"n": "8k"}, 20,
     ),
@@ -189,11 +196,8 @@ def _checked_cells(name, grid, seed) -> dict:
     limit = linops.DESK_SCALE_LIMIT
     for n, k in itertools.product(cells["n"], cells["k"]):
         try:
-            # Errors are taken densely, so a cell above the limit is refused;
-            # the hard-block one (n = 8k) before its dense instance is built.
-            size = 8 * k if n == "8k" else None
-            if size is None or size <= limit:
-                size = spec.operator(n, k, seed).n
+            # Errors are taken densely, so a cell above the limit is refused.
+            size = spec.operator(n, k, seed).n
             if size > limit:
                 raise ValueError(f"n={size} is above DESK_SCALE_LIMIT = {limit}")
             hodlr.level_count(size, k)

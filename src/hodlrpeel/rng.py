@@ -19,6 +19,12 @@ ROLE_CHECK = 3
 _MASK32 = 0xFFFFFFFF
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # O'Neill's 128-bit LCG multiplier
 
+# Reseeding a block holds the GIL, so two threads filling small blocks mostly
+# wait for each other.  Timed on two cores, a family split gained only with
+# blocks of at least 4096 entries and 2^16 entries in all (it took twice as
+# long with 1024 blocks of 512); smaller ones are filled inline.
+_SPLIT_BLOCK, _SPLIT_FAMILY = 4096, 1 << 16
+
 
 def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key)))
@@ -41,7 +47,7 @@ def fill_normal_blocks(out: np.ndarray, seed: int, *key: int) -> np.ndarray:
     its last word, which SeedSequence mixes last: the pool of (seed, *key) is
     each child's pool before it, and the rest of the hash runs on uint32
     arrays over all children at once.  PCG64 is seeded as ``srandom`` does.
-    A large family is filled in two halves of its blocks on two cores."""
+    A family of large blocks is filled in two halves on two cores."""
     d = len(out)
     pool = seed_sequence(seed, *key).pool
     # A spawned sequence pads its seed to the 4-word pool; 4 hash steps a word.
@@ -76,5 +82,6 @@ def fill_normal_blocks(out: np.ndarray, seed: int, *key: int) -> np.ndarray:
                                        "has_uint32": 0, "uinteger": 0}
             gen.standard_normal(out=block)
 
-    in_halves(fill, d, out.size)
+    large = out.size >= _SPLIT_FAMILY and out[0].size >= _SPLIT_BLOCK
+    in_halves(fill, d, out.size if large else 0)
     return out

@@ -60,12 +60,22 @@ def test_poisson_product_split_is_bitwise_the_inline_product(monkeypatch, submit
 
 
 def test_split_fill_normal_blocks_matches_the_per_block_streams(submitted):
-    out = np.empty((6, 4096, 2))
-    assert out.size >= halves.SPLIT_ENTRIES
+    out = np.empty((6, 4096, 4))
     rng.fill_normal_blocks(out, 11, 4, 1)
     assert submitted == ["fill_normal_blocks.<locals>.fill"]
     for i, block in enumerate(out):
         assert np.array_equal(block, rng.stream(11, 4, 1, i + 1).standard_normal(block.shape))
+
+
+@pytest.mark.parametrize("shape", [(1024, 16, 32), (4, 4096, 2)])
+def test_fill_of_small_blocks_or_a_small_family_stays_inline(submitted, shape):
+    # 2^19 entries in blocks of 512, and 2^15 in blocks of 8192: both are
+    # above SPLIT_ENTRIES, and neither ran faster split.
+    out = np.empty(shape)
+    assert out.size >= halves.SPLIT_ENTRIES
+    rng.fill_normal_blocks(out, 11, 4, 1)
+    assert submitted == []
+    assert np.array_equal(out[-1], rng.stream(11, 4, 1, len(out)).standard_normal(out[-1].shape))
 
 
 def test_exp_hard_peels_at_n_1024_never_reach_the_pool(monkeypatch):
