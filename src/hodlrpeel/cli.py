@@ -8,6 +8,7 @@ Subcommands:
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -101,10 +102,9 @@ def _make_operator(args, k, seed):
 def _print_report(report, n, final_error=None):
     print(f"variant={report.variant} n={n}")
     for st in report.levels:
-        err = "" if st.error is None else f" level_error={st.error:.6g}"
         print(
             f"  level {st.level}: forward={st.forward} transpose={st.transpose}"
-            f" time={st.seconds:.3f}s{err}"
+            f" time={st.seconds:.3f}s"
         )
     print(
         f"totals: forward={report.forward_total} transpose={report.transpose_total}"
@@ -120,8 +120,6 @@ def _cmd_approx(args):
         config = bench.preset_config(args.preset, args.k, args.beta, seed=args.seed)
     except ValueError as exc:  # ConfigError included
         _usage_error(f"{stated}: {exc}")
-    if args.variant and args.variant != config.variant:
-        _usage_error(f"preset {args.preset} conflicts with --variant {args.variant}")
     op = _build_operator(args, args.k, args.seed)
     try:
         H, report = peel.run_peel(op, config, truncate=not args.no_truncate,
@@ -183,10 +181,12 @@ def _cmd_bench(args):
     settings = {"experiment": args.experiment, "trials": args.trials or "default",
                 "seed": args.seed, "format": args.format, "out": out}
     settings.update({key: ",".join(map(str, val)) for key, val in grid.items()})
+    # Next to the output, also when a plotdata directory is named as "dir/".
+    stamp = out.rstrip(os.sep) + ".config"
     with _writing(out):
         bench.emit(rows, out, fmt=args.format)
-        bench.write_config_stamp(f"{out}.config", args.experiment, settings)
-    print(f"wrote {out} ({len(rows)} rows) and {out}.config")
+        bench.write_config_stamp(stamp, args.experiment, settings)
+    print(f"wrote {out} ({len(rows)} rows) and {stamp}")
     return 0
 
 
@@ -217,7 +217,6 @@ def build_parser():
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--beta", type=float, default=0.5)
     ap.add_argument("--preset", default="GN1", choices=bench.PRESETS)
-    ap.add_argument("--variant", choices=[peel.GENERALIZED_NYSTROM, peel.RSVD])
     ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--out", help="write the HODLR container here")
     ap.add_argument("--no-truncate", action="store_true",

@@ -339,6 +339,8 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     kernel (``apply_contributions``) in its unperforated form, with the
     D-row blocks of the folded product as its output blocks.
     """
+    if side not in ("forward", "transpose"):
+        raise ValueError(f"unknown side {side!r}")
     if np.iscomplexobj(X):
         raise StructureError(f"need a real input, got dtype {np.asarray(X).dtype}")
     X = np.ascontiguousarray(X, dtype=float)

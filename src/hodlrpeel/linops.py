@@ -246,17 +246,13 @@ def make_exp_hard_instance(L: int, eta: float) -> LinearOperator:
     return LinearOperator(n, forward, transpose, name=f"exp_hard(n={n})")
 
 
-# CSV interchange for point clouds and small dense matrices.
+# CSV input of point clouds and small dense matrices.
 
 def load_points_csv(path) -> np.ndarray:
     pts = load_dense_csv(path)
     if pts.shape[1] != 3:
         raise DimensionError(f"expected x,y,z rows in {path}, got {pts.shape[1]} cols")
     return pts
-
-
-def save_dense_csv(M, path) -> None:
-    np.savetxt(path, np.asarray(M, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def load_dense_csv(path) -> np.ndarray:

@@ -195,7 +195,6 @@ class LevelStats:
     forward: int
     transpose: int
     seconds: float
-    error: float = None
 
 
 @dataclass
@@ -246,51 +245,6 @@ def residual_sketch(op, recovered, inputs, blocks, cols, side) -> np.ndarray:
     return out.swapaxes(0, 1).reshape(d // 2, 2, m, s)
 
 
-class _DenseDebug:
-    """Per-level diagnostics against a dense reference copy of the operator.
-
-    Checks the structured form of the range-sketch error term
-    E_j = sum_{i != j} xi_{i,rho} A^(l)_{j+-1,i} Omega_i and measures the
-    per-level Frobenius recovery error.
-    """
-
-    REL_TOL = 1e-10
-
-    def __init__(self, A):
-        self.A = np.asarray(A, dtype=float)
-        self.residual = self.A.copy()
-
-    def block(self, d, i, j):
-        m = self.A.shape[0] // d
-        return self.residual[i * m:(i + 1) * m, j * m:(j + 1) * m]
-
-    def check_sketch_noise(self, d, j, rho, Y, family):
-        p = hodlr.partner(j)
-        measured = Y - self.block(d, p, j) @ family.gaussian_blocks[j]
-        formula = np.zeros_like(measured)
-        for i in range(d):
-            if i == j or sketch.block_is_plus(i) != sketch.block_is_plus(j):
-                continue
-            if family.cols[i] != rho:
-                continue
-            formula += self.block(d, p, i) @ family.gaussian_blocks[i]
-        # Compare at the scale of the sketch itself: when the true noise is
-        # zero both sides are pure rounding dirt from different summation
-        # orders.
-        scale = max(np.linalg.norm(Y), np.linalg.norm(formula), 1e-300)
-        if np.linalg.norm(measured - formula) > self.REL_TOL * scale:
-            raise AssertionError(
-                f"sketch noise mismatch at block {j}: structured error form violated"
-            )
-
-    def finish_level(self, ell, stack):
-        """Subtract the level's recovered stack from the residual; returns
-        the level's Frobenius recovery error."""
-        blocks = hodlr.block_view(self.residual, ell, 1)
-        blocks -= stack.dense().reshape(blocks.shape)
-        return float(np.linalg.norm(blocks))
-
-
 def _regression_residual_ok(psi_t_q, X, Z):
     """Relative residual of the sketched regression of every block of a
     stack, the free per-level structure signal used by exact_recover."""
@@ -304,24 +258,19 @@ def _pairs(blocks):
     return blocks.reshape((-1, 2) + blocks.shape[1:])
 
 
-def _range_sketch(op, recovered, config, ell, debug):
+def _range_sketch(op, recovered, config, ell):
     """Range sketches Y_j of the 2^ell blocks of level ``ell`` as a stack.
 
     Block j sits at (partner(j), j) = (j ^ 1, j); Y_j is row block j ^ 1 of
     the forward residual sketch of j's parity under the perforated right
     family."""
-    d = 1 << ell
     right = sketch.sample_rand_perf_gaussian(
-        op.n, d, config.s_R, config.t_R, (config.seed, ell, ROLE_RIGHT)
+        op.n, 1 << ell, config.s_R, config.t_R, (config.seed, ell, ROLE_RIGHT)
     )
-    Y = residual_sketch(
+    return residual_sketch(
         op, recovered, (right.assembled_plus, right.assembled_minus),
         right.gaussian_blocks.reshape(op.n, config.s_R), right.cols, linops.FORWARD,
     )
-    if debug is not None:
-        for j, Y_j in enumerate(Y.reshape(d, -1, config.s_R)):
-            debug.check_sketch_noise(d, j, right.cols[j], Y_j, right)
-    return Y
 
 
 def _transpose_sketch(op, recovered, plus, minus, blocks, cols):
@@ -416,13 +365,11 @@ def run_peel(
     config: PeelConfig,
     *,
     truncate=True,
-    dense_reference=None,
     structure_check=False,
     allow_invalid=False,
 ):
     """Peel ``op`` with the variant ``config.variant``; returns (HodlrMatrix,
     PeelReport).  ``truncate=False`` keeps full sketch-rank factors,
-    ``dense_reference`` (a dense copy of ``op``) turns on ``_DenseDebug``,
     ``structure_check`` raises StructureViolationError on a regression
     residual and ``allow_invalid`` skips guarantee validation."""
     n, k = op.n, config.k
@@ -431,7 +378,6 @@ def run_peel(
     if violations and not allow_invalid:
         raise ConfigError(f"fails guarantee validation ({'; '.join(violations)})")
     level_step, leaf_sketch = _VARIANTS[config.variant]
-    debug = _DenseDebug(dense_reference) if dense_reference is not None else None
     report = PeelReport(variant=config.variant)
     t_start = time.perf_counter()
     recovered = []
@@ -440,7 +386,7 @@ def run_peel(
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
         f0, r0 = op.counter.snapshot()
-        Y = _range_sketch(op, recovered, config, ell, debug)
+        Y = _range_sketch(op, recovered, config, ell)
         stack, ok = level_step(op, recovered, config, ell, Y, truncate, structure_check)
         structure_ok = structure_ok and ok
         # Sibling pairs (d/2, 2) flattened to the (d,) stack of the level.
@@ -449,10 +395,7 @@ def run_peel(
         )
         recovered.append(stack)
         f1, r1 = op.counter.snapshot()
-        err = debug.finish_level(ell, stack) if debug is not None else None
-        report.levels.append(
-            LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0, err)
-        )
+        report.levels.append(LevelStats(ell, f1 - f0, r1 - r0, time.perf_counter() - t0))
 
     # Leaf diagonals: one more transpose sketch, solved block by block.  Its
     # width is s_L for either variant (rsvd has s_L = s_R).

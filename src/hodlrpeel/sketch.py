@@ -22,12 +22,6 @@ import numpy as np
 from .rng import fill_normal_blocks, stream
 
 
-def block_is_plus(i: int) -> bool:
-    """True when 0-based block row i carries a Gaussian block in the plus
-    sketch (1-based odd rows)."""
-    return i % 2 == 0
-
-
 def bullet(X, Y) -> np.ndarray:
     """Block row-wise Kronecker product.
 

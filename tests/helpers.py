@@ -1,12 +1,14 @@
 """Test-only reference code: matrix-free randomized SVD and generalized
-Nystrom on a whole operator, and the reader of ``bench``'s config stamps."""
+Nystrom on a whole operator, the dense-reference checks of a finished peel,
+a dense CSV writer and the reader of ``bench``'s config stamps."""
 
 import configparser
 
 import numpy as np
 
-from hodlrpeel import linops
+from hodlrpeel import hodlr, linops, peel, sketch
 from hodlrpeel.lowrank import LowRankFactors, RankError, gn_from_sketches, orth, truncate_factor
+from hodlrpeel.rng import ROLE_RIGHT
 
 
 def empty_factors(m1: int, m2: int) -> LowRankFactors:
@@ -47,6 +49,57 @@ def gnm(op, k, s_R, s_L, rng) -> LowRankFactors:
     return gn_from_sketches(Y, op.apply(Psi, linops.TRANSPOSE).T, Psi, k)
 
 
+NOISE_REL_TOL = 1e-10
+
+
+def dense_reference_errors(op, A, H, config) -> list:
+    """Per-level Frobenius recovery errors of a peel's result H, checked
+    against A, a dense copy of ``op``, after the peel.
+
+    For each level l it draws the peel's right family again, under the key
+    (seed, l, ROLE_RIGHT), and rebuilds the level's range sketches Y with
+    ``peel.residual_sketch`` from the levels of H above l.  Block j's sketch
+    must equal the dense residual's A_{j^1,j} Omega_j plus the structured
+    noise E_j = sum of A_{j^1,i} Omega_i over the other blocks i of j's
+    parity and column group; an AssertionError names the first block where
+    it does not.  Then H's level l is subtracted from the residual, and the
+    Frobenius norm of what is left of the level's blocks is its error.
+    Reads 2 s_R t_R more forward columns of ``op`` per level."""
+    n, s = op.n, config.s_R
+    residual = np.array(A, dtype=float)
+    errors = []
+    for ell in range(1, H.L + 1):
+        d, m = 1 << ell, n >> ell
+        right = sketch.sample_rand_perf_gaussian(
+            n, d, s, config.t_R, (config.seed, ell, ROLE_RIGHT)
+        )
+        Y = peel.residual_sketch(
+            op, H.stacks[: ell - 1], (right.assembled_plus, right.assembled_minus),
+            right.gaussian_blocks.reshape(n, s), right.cols, linops.FORWARD,
+        ).reshape(d, m, s)
+        for j in range(d):
+            p = hodlr.partner(j)
+            rows = residual[p * m:(p + 1) * m]
+            noise = np.zeros((m, s))
+            for i in range(j % 2, d, 2):
+                if i != j and right.cols[i] == right.cols[j]:
+                    noise += rows[:, i * m:(i + 1) * m] @ right.gaussian_blocks[i]
+            measured = Y[j] - rows[:, j * m:(j + 1) * m] @ right.gaussian_blocks[j]
+            # At the scale of the sketch itself: where the true noise is zero,
+            # both sides are rounding dirt from different summation orders.
+            scale = max(np.linalg.norm(Y[j]), np.linalg.norm(noise), 1e-300)
+            if np.linalg.norm(measured - noise) > NOISE_REL_TOL * scale:
+                raise AssertionError(
+                    f"level {ell} block {j}: sketch noise is not the structured form E_j"
+                )
+        blocks = hodlr.block_view(residual, ell, 1)
+        blocks -= H.stacks[ell - 1].dense().reshape(blocks.shape)
+        errors.append(float(np.linalg.norm(blocks)))
+    return errors
+
+
+def save_dense_csv(M, path) -> None:
+    np.savetxt(path, np.asarray(M, dtype=float), delimiter=",", fmt="%.17g")
 
 
 def load_config(path) -> dict:

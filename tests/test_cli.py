@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from hodlrpeel import hodlr, linops
+from hodlrpeel import hodlr
 from hodlrpeel.rng import stream
+
+from helpers import save_dense_csv
 
 
 def run_cli(*args, cwd=None):
@@ -20,7 +22,7 @@ def run_cli(*args, cwd=None):
 def test_approx_dense_csv_writes_hodlr_file(tmp_path):
     A = hodlr.random_hodlr(64, 2, stream(50, 0)).to_dense()
     src = tmp_path / "a.csv"
-    linops.save_dense_csv(A, src)
+    save_dense_csv(A, src)
     out = tmp_path / "a.hodlr"
     r = run_cli(
         "approx", "--operator", "dense", "--in", str(src), "--k", "2",
@@ -36,7 +38,7 @@ def test_approx_dense_csv_writes_hodlr_file(tmp_path):
 def test_approx_requires_valid_config_by_default(tmp_path):
     A = np.eye(16)
     src = tmp_path / "i.csv"
-    linops.save_dense_csv(A, src)
+    save_dense_csv(A, src)
     r = run_cli("approx", "--operator", "dense", "--in", str(src), "--k", "2",
                 "--preset", "GN1", "--beta", "0.5")
     assert r.returncode != 0
@@ -60,7 +62,7 @@ def test_recover_accepts_hodlr_and_rejects_dense(tmp_path):
     assert ok.returncode == 0, ok.stderr
     A = stream(50, 1).standard_normal((64, 64))
     src = tmp_path / "g.csv"
-    linops.save_dense_csv(A, src)
+    save_dense_csv(A, src)
     bad = run_cli("recover", "--operator", "dense", "--in", str(src), "--k", "2")
     assert bad.returncode == 2
     assert "structure violation" in bad.stderr
@@ -149,7 +151,7 @@ def test_non_finite_operator_output_is_a_cli_error(tmp_path, argv, nan):
     else:
         A[:] = 1e308
     src, out = tmp_path / "a.csv", tmp_path / "x.hodlr"
-    linops.save_dense_csv(A, src)
+    save_dense_csv(A, src)
     r = run_cli(argv[0], "--operator", "dense", "--in", str(src), "--k", "1",
                 "--out", str(out), *argv[1:])
     assert r.returncode == 2
@@ -257,12 +259,17 @@ def test_bench_csv_byte_identical_reruns(tmp_path):
 
 
 def test_bench_plotdata_format(tmp_path):
-    out = tmp_path / "series"
-    r = run_cli("bench", "exp_hard", "--n", "16,32", "--preset", "RSVD1",
-                "--trials", "2", "--seed", "6", "--out", str(out),
-                "--format", "plotdata")
-    assert r.returncode == 0, r.stderr
-    assert (out / "exp_hard__RSVD1__k1.csv").exists()
+    # the stamp lands next to the directory however it is spelled
+    for slash in ("", "/"):
+        where = tmp_path / ("slash" if slash else "plain")
+        out = where / "series"
+        r = run_cli("bench", "exp_hard", "--n", "16,32", "--preset", "RSVD1",
+                    "--trials", "2", "--seed", "6", "--out", str(out) + slash,
+                    "--format", "plotdata")
+        assert r.returncode == 0, r.stderr
+        assert (out / "exp_hard__RSVD1__k1.csv").exists()
+        assert (where / "series.config").exists()
+        assert not (out / ".config").exists()
 
 
 def test_check_bounds_exit_code_and_output():
@@ -298,6 +305,14 @@ def test_approx_unusable_config_is_a_usage_error(tmp_path, argv, message):
     if not argv:
         assert lines[0].endswith("pass --allow-invalid-config to run it anyway")
     assert not out.exists()
+
+
+def test_approx_has_no_variant_option():
+    # the preset fixes the variant
+    r = run_cli("approx", "--operator", "poisson", "--n", "64", "--k", "2",
+                "--variant", "rsvd")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --variant rsvd" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -284,6 +284,14 @@ def test_apply_rejects_inputs_of_other_ranks():
             hodlr_apply(H, np.ones(shape))
 
 
+def test_apply_rejects_an_unknown_side():
+    # a misspelt side must not fall through to the transpose product
+    H = random_hodlr(64, 2, stream(2, 11))
+    for side in ("fwd", "Forward", None):
+        with pytest.raises(ValueError, match=f"unknown side {side!r}"):
+            hodlr_apply(H, np.ones((64, 2)), side=side)
+
+
 def test_apply_rejects_complex_input():
     # a float cast would drop the imaginary part with only a ComplexWarning
     H = random_hodlr(16, 2, stream(2, 11))

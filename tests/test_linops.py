@@ -5,6 +5,8 @@ from hodlrpeel import linops
 from hodlrpeel.linops import FORWARD, TRANSPOSE
 from hodlrpeel.rng import stream
 
+from helpers import save_dense_csv
+
 
 def dense_from_queries(op):
     """Oracle: reconstruct the dense matrix column by column through apply."""
@@ -323,7 +325,7 @@ def test_point_cloud_csv_roundtrip(tmp_path):
 def test_dense_csv_roundtrip(tmp_path):
     M = stream(3, 1).standard_normal((6, 6))
     path = tmp_path / "m.csv"
-    linops.save_dense_csv(M, path)
+    save_dense_csv(M, path)
     np.testing.assert_allclose(linops.load_dense_csv(path), M)
 
 

@@ -19,6 +19,8 @@ from hodlrpeel.peel import (
 )
 from hodlrpeel.rng import stream
 
+from helpers import dense_reference_errors
+
 
 def hodlr_operator(n, k, key):
     H = hodlr.random_hodlr(n, k, stream(17, *key))
@@ -403,7 +405,7 @@ def test_counter_untouched_by_recovered_level_products():
     assert op.counter.forward_count == report.forward_total
 
 
-# Debug-mode diagnostics ------------------------------------------------------------
+# Dense-reference checks, run after the peel ----------------------------------------
 
 @pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
 def test_dense_debug_checks_noise_structure_and_level_errors(variant):
@@ -413,22 +415,23 @@ def test_dense_debug_checks_noise_structure_and_level_errors(variant):
     op = linops.make_dense_operator(A)
     s_L = 8 if variant == GENERALIZED_NYSTROM else 4
     cfg = PeelConfig(k=2, s_R=4, t_R=2, s_L=s_L, t_L=2, variant=variant, seed=5)
-    _, report = run_peel(op, cfg, dense_reference=A)
-    errs = [s.error for s in report.levels if s.error is not None]
+    H, _ = run_peel(op, cfg)
+    errs = dense_reference_errors(op, A, H, cfg)
     assert len(errs) == hodlr.level_count(64, 2)
     assert all(e >= 0 for e in errs)
+    # a dense copy that is not the operator breaks the structured noise form
+    B = A.copy()
+    B[40, 0] += 1.0
+    with pytest.raises(AssertionError, match="structured form"):
+        dense_reference_errors(op, B, H, cfg)
 
 
 @pytest.mark.parametrize("variant", [GENERALIZED_NYSTROM, RSVD])
 def test_run_peel_takes_every_keyword_for_either_variant(variant):
     op, A = hodlr_operator(64, 2, (9,))
     cfg = peel.exact_config(2, variant, seed=3)
-    H, report = run_peel(
-        op, cfg, truncate=False, dense_reference=A, structure_check=True,
-        allow_invalid=True,
-    )
+    H, report = run_peel(op, cfg, truncate=False, structure_check=True, allow_invalid=True)
     assert (report.forward_total, report.transpose_total) == expected_queries(cfg, 64)
-    assert all(s.error is not None for s in report.levels[:-1])
     assert np.linalg.norm(A - H.to_dense()) <= 1e-6 * np.linalg.norm(A)
 
 

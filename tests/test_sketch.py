@@ -126,7 +126,7 @@ def test_family_perforation_parity():
         plus_zero = not fam.assembled_plus[rows].any()
         minus_zero = not fam.assembled_minus[rows].any()
         assert plus_zero != minus_zero
-        assert plus_zero == (not sketch.block_is_plus(i))
+        assert plus_zero == (i % 2 == 1)  # plus keeps the 1-based odd rows
         # the active sketch is nonzero in exactly one block column
         active = fam.assembled_minus if plus_zero else fam.assembled_plus
         nonzero_cols = [
