@@ -17,7 +17,7 @@ from hodlrpeel.peel import (
     residual_sketch,
     run_peel,
 )
-from hodlrpeel.rng import stream
+from hodlrpeel.rng import ROLE_DIAG, ROLE_LEFT, ROLE_RIGHT, stream
 
 from helpers import dense_reference_errors
 
@@ -396,6 +396,64 @@ def test_residual_sketch_matches_dense_subtraction():
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     # only the op queries hit the counter: both assembled sketches per side
     assert op.counter.snapshot() == (2 * s * t, 2 * s * t)
+
+
+@pytest.mark.parametrize("preset", ["GN1", "GN2", "RSVD1", "RSVD2"])
+def test_peel_queries_the_bullet_of_each_drawn_family(preset, monkeypatch):
+    # Every block the peel sends to the operator, in query order, is
+    # bitwise bullet(selector, blocks) of the family drawn under the peel's
+    # key; at beta = 1/2 the perforated presets take t = 2.
+    n, k = 128, 2
+    op, _ = hodlr_operator(n, k, (8,))
+    cfg = bench.preset_config(preset, k, 0.5, seed=3)
+    queries, apply = [], op.apply
+
+    def recording(X, side):
+        queries.append((side, X.copy()))
+        return apply(X, side)
+
+    monkeypatch.setattr(op, "apply", recording)
+    run_peel(op, cfg, allow_invalid=True)
+
+    def expect(side, selectors, blocks):
+        for sel in selectors:
+            got_side, X = queries.pop(0)
+            assert got_side == side
+            np.testing.assert_array_equal(X, sketch.bullet(sel.entries, blocks))
+
+    L, seed = hodlr.level_count(n, k), cfg.seed
+    for ell in range(1, L + 1):
+        d = 1 << ell
+        right = sketch.sample_rand_perf_gaussian(n, d, cfg.s_R, cfg.t_R, (seed, ell, ROLE_RIGHT))
+        expect(linops.FORWARD, (right.selector_plus, right.selector_minus),
+               right.gaussian_blocks.reshape(n, cfg.s_R))
+        if cfg.variant == GENERALIZED_NYSTROM:
+            left = sketch.sample_rand_perf_gaussian(n, d, cfg.s_L, cfg.t_L, (seed, ell, ROLE_LEFT))
+            expect(linops.TRANSPOSE, (left.selector_plus, left.selector_minus),
+                   left.gaussian_blocks.reshape(n, cfg.s_L))
+        else:
+            # the stacked bases are read back from the queries themselves:
+            # block i in column group cols[i] of its parity's sketch
+            zetas = sketch.sample_perf_countsketch(d, cfg.t_L, (seed, ell, ROLE_LEFT))
+            m, s = n // d, cfg.s_R
+            pair = [X for _, X in queries[:2]]
+            bases = np.concatenate([
+                pair[i % 2][i * m:(i + 1) * m, g * s:(g + 1) * s]
+                for i, g in enumerate(zetas[0].cols)
+            ])
+            expect(linops.TRANSPOSE, zetas, bases)
+    if cfg.variant == GENERALIZED_NYSTROM:
+        leaf = sketch.sample_rand_perf_gaussian(
+            n, 1 << L, cfg.s_L, cfg.t_L, (seed, L + 1, ROLE_DIAG)
+        )
+        draw = leaf.selector_plus.entries + leaf.selector_minus.entries
+        expect(linops.TRANSPOSE, (sketch.BlockSelector(draw, leaf.selector_plus.cols),),
+               leaf.gaussian_blocks.reshape(n, cfg.s_L))
+    else:
+        m = n >> L
+        zeta = sketch.sample_countsketch(1 << L, cfg.t_L, (seed, L + 1, ROLE_DIAG))
+        expect(linops.TRANSPOSE, (zeta,), np.tile(np.eye(m, cfg.s_R), (1 << L, 1)))
+    assert queries == []
 
 
 def test_counter_untouched_by_recovered_level_products():
