@@ -177,7 +177,7 @@ def _cmd_bench(args):
         rows = bench.run_experiment(args.experiment, grid, trials=args.trials, seed=args.seed)
     except bench.GridError as exc:
         _usage_error(str(exc))
-    out = args.out or f"{args.experiment}.csv"
+    out = args.out or args.experiment + (".csv" if args.format == "csv" else "")
     settings = {"experiment": args.experiment, "trials": args.trials or "default",
                 "seed": args.seed, "format": args.format, "out": out}
     settings.update({key: ",".join(map(str, val)) for key, val in grid.items()})

@@ -6,6 +6,7 @@ side, which is the cost model the peeling algorithms are measured against.
 """
 
 import threading
+import warnings
 
 import numpy as np
 
@@ -256,7 +257,12 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def load_dense_csv(path) -> np.ndarray:
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a cell that is not a number, or ragged rows
-        raise DimensionError(f"{path} is not a numeric CSV table: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a cell that is not a number, or ragged rows
+            raise DimensionError(f"{path} is not a numeric CSV table: {exc}") from None
+    if table.size == 0:
+        raise DimensionError(f"{path} is not a numeric CSV table: it holds no rows")
+    return table

@@ -24,7 +24,9 @@ straight from each operator product and subtracts the already-recovered
 levels from them alone, computed from the family's input blocks rather than
 from its assembled n x s t sketches (``hodlr.apply_contributions``): 4 n r s
 flops per recovered level for both parities, where the whole products
-would take 8 n r s t.
+would take 8 n r s t.  A sketch is passed around as its selectors and input
+blocks; ``residual_sketch`` assembles each operator input just before its
+query, so no more than one n x s t sketch is alive at a time.
 
 Each level factors its 2^l blocks together: the blocks' sketches are
 read into (2^(l-1), 2, m, s) stacks of sibling pairs and go through one
@@ -215,25 +217,28 @@ def expected_queries(config: PeelConfig, n: int) -> tuple[int, int]:
     )
 
 
-def residual_sketch(op, recovered, inputs, blocks, cols, side) -> np.ndarray:
+def residual_sketch(op, recovered, selectors, blocks, side) -> np.ndarray:
     """The sketch blocks a level reads from the operator minus its recovered
     levels, as a (d/2, 2, m, s) stack by input block (``hodlr.block_view``
-    order): entry i is the partner row block i ^ 1, column group ``cols[i]``,
-    of the product with the parity of block i for a perforated pair
-    ``inputs`` = (plus, minus), and row block i, column group ``cols[i]``, of
-    the product with an unperforated ``inputs`` = (sketch,).  ``blocks`` is
-    the (n, s) stack of input blocks the sketches assemble.
+    order), for the (n, s) stack ``blocks`` of input blocks under d x t
+    selectors sharing the column groups ``cols``: entry i is the partner row
+    block i ^ 1, column group ``cols[i]``, of the product with the parity of
+    block i for a perforated pair ``selectors`` = (plus, minus), and row block
+    i, column group ``cols[i]``, of the product with an unperforated
+    ``selectors`` = (selector,).
 
-    Each product is one counted op query, read straight into the stack; the
-    recovered levels are subtracted by ``hodlr.apply_contributions``, from
-    the input blocks alone."""
-    c, d = len(inputs), len(cols)
+    Each selector's sketch ``sketch.bullet(selector.entries, blocks)`` is
+    assembled just before its one counted op query, whose product is read
+    straight into the stack; the recovered levels are subtracted by
+    ``hodlr.apply_contributions``, from the input blocks alone."""
+    c, cols = len(selectors), selectors[0].cols
+    d = len(cols)
     n, s = blocks.shape
     m = n // d
     out = np.empty((c, d // c, m, s))
     groups = cols.reshape(d // c, c)
-    for p, omega in enumerate(inputs):
-        sk = op.apply(omega, side)
+    for p, selector in enumerate(selectors):
+        sk = op.apply(sketch.bullet(selector.entries, blocks), side)
         t = sk.shape[1] // s
         # Rows of the other class (the partner rows) when perforated.
         rows = sk.reshape(d // c, c, m, t, s)[:, c - 1 - p]
@@ -268,19 +273,19 @@ def _range_sketch(op, recovered, config, ell):
         op.n, 1 << ell, config.s_R, config.t_R, (config.seed, ell, ROLE_RIGHT)
     )
     return residual_sketch(
-        op, recovered, (right.assembled_plus, right.assembled_minus),
-        right.gaussian_blocks.reshape(op.n, config.s_R), right.cols, linops.FORWARD,
+        op, recovered, (right.selector_plus, right.selector_minus),
+        right.gaussian_blocks.reshape(op.n, config.s_R), linops.FORWARD,
     )
 
 
-def _transpose_sketch(op, recovered, plus, minus, blocks, cols):
+def _transpose_sketch(op, recovered, selectors, blocks):
     """Left sketches Z_j of a level's blocks as a (d/2, 2, s, m) stack.
 
     Z_j is the (sigma, j) block of (Psi^-/+)^T A^(l): the transpose residual
-    sketch of the parity opposite to j, with sigma the column group ``cols``
-    gives row block j ^ 1, whose sketch block Psi_j is row block j ^ 1 of
-    ``blocks``."""
-    Z = residual_sketch(op, recovered, (plus, minus), blocks, cols, linops.TRANSPOSE)
+    sketch of the parity opposite to j under the perforated pair
+    ``selectors``, with sigma the column group they give row block j ^ 1,
+    whose sketch block Psi_j is row block j ^ 1 of ``blocks``."""
+    Z = residual_sketch(op, recovered, selectors, blocks, linops.TRANSPOSE)
     return Z[:, ::-1].swapaxes(-1, -2)
 
 
@@ -293,8 +298,8 @@ def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
         op.n, 1 << ell, config.s_L, config.t_L, (config.seed, ell, ROLE_LEFT)
     )
     Z = _transpose_sketch(
-        op, recovered, left.assembled_plus, left.assembled_minus,
-        left.gaussian_blocks.reshape(op.n, config.s_L), left.cols,
+        op, recovered, (left.selector_plus, left.selector_minus),
+        left.gaussian_blocks.reshape(op.n, config.s_L),
     )
     Psi = _pairs(left.gaussian_blocks)[:, ::-1]
     stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
@@ -317,9 +322,7 @@ def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
     stacked[..., : bases.shape[-1]] = bases[:, ::-1]
     stacked = stacked.reshape(op.n, s_R)
     zetas = sketch.sample_perf_countsketch(d, config.t_L, (config.seed, ell, ROLE_LEFT))
-    plus, minus = (sketch.bullet(zeta.entries, stacked) for zeta in zetas)
-    # Both selectors share one draw, so either one's cols keys both parities.
-    X = _transpose_sketch(op, recovered, plus, minus, stacked, zetas[0].cols)
+    X = _transpose_sketch(op, recovered, zetas, stacked)
     return _project_truncate(bases, X, config.k if truncate else None), True
 
 
@@ -330,27 +333,28 @@ def _project_truncate(Q, X_padded, k):
 
 
 def _gn_leaf_sketch(config, n, L):
-    """Unperforated sum of one more perforated Gaussian family, its (n, s_L)
-    stack of blocks, their column groups and the (d/2, 2, s_L, m) stack of
-    transposed blocks."""
+    """One more perforated Gaussian family, unperforated: the selector
+    holding both parities' rows (their disjoint sum, the CountSketch draw),
+    its (n, s_L) stack of blocks and the (d/2, 2, s_L, m) stack of transposed
+    blocks."""
     fam = sketch.sample_rand_perf_gaussian(
         n, 1 << L, config.s_L, config.t_L, (config.seed, L + 1, ROLE_DIAG)
     )
+    plus, minus = fam.selector_plus, fam.selector_minus
     psi_t = _pairs(fam.gaussian_blocks).swapaxes(-1, -2)
     blocks = fam.gaussian_blocks.reshape(n, config.s_L)
-    return fam.assembled_plus + fam.assembled_minus, blocks, fam.cols, psi_t
+    return sketch.BlockSelector(plus.entries + minus.entries, plus.cols), blocks, psi_t
 
 
 def _rsvd_leaf_sketch(config, n, L):
-    """Stacked identity, zero-padded to width s_R, under a count sketch; the
-    stack itself, its column groups and the (s_R, m) padded identity every
-    leaf shares."""
+    """A count sketch of the stacked identity, zero-padded to width s_R: the
+    selector, the stack itself and the (s_R, m) padded identity every leaf
+    shares."""
     d, m = 1 << L, n >> L
     zeta = sketch.sample_countsketch(d, config.t_L, (config.seed, L + 1, ROLE_DIAG))
     pad_eye = np.zeros((m, config.s_R))
     pad_eye[:, :m] = np.eye(m)
-    blocks = np.tile(pad_eye, (d, 1))
-    return sketch.bullet(zeta.entries, blocks), blocks, zeta.cols, pad_eye.T
+    return zeta, np.tile(pad_eye, (d, 1)), pad_eye.T
 
 
 # variant -> (per-level right-factor step, leaf sketch)
@@ -402,8 +406,8 @@ def run_peel(
     t0 = time.perf_counter()
     f0, r0 = op.counter.snapshot()
     d = 1 << L
-    psi_hat, blocks, cols, psi_t = leaf_sketch(config, n, L)
-    Z = residual_sketch(op, recovered, (psi_hat,), blocks, cols, linops.TRANSPOSE)
+    selector, blocks, psi_t = leaf_sketch(config, n, L)
+    Z = residual_sketch(op, recovered, (selector,), blocks, linops.TRANSPOSE)
     Z = Z.swapaxes(-1, -2)
     leaves = lowrank.pinv_solve(psi_t, Z)
     if structure_check and not _regression_residual_ok(psi_t, leaves, Z):

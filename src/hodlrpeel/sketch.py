@@ -3,7 +3,9 @@
 Builds the structured random sketching matrices the peeling algorithms push
 through the operator: a block row-wise Kronecker product ("bullet"), a 0/1
 selector with one nonzero per row (CountSketch), its parity-masked pair, and
-the randomly perforated Gaussian family assembled from both.
+the randomly perforated Gaussian family, which is that pair and its Gaussian
+blocks.  A sketch is kept in that form; ``bullet`` assembles it into the
+n x (s*t) operator input only where it is queried (``peel.residual_sketch``).
 
 The samplers take their randomness as a stream key (seed, *key), the key
 under which ``rng.stream`` names a stream, and draw from its child streams
@@ -76,23 +78,14 @@ def sample_perf_countsketch(d, t, key) -> tuple[BlockSelector, BlockSelector]:
 
 @dataclass(frozen=True)
 class SketchFamily:
-    """One level's perforated sketch bundle.
-
-    ``gaussian_blocks`` is the (d, n/d, s) array whose block i is shared by
-    both assembled sketches; ``assembled_plus``/``assembled_minus`` are the
-    n x (s*t) matrices selector_plus . stacked / selector_minus . stacked,
-    with ``stacked`` the blocks on top of each other.
-    """
+    """One level's perforated sketch: a CountSketch draw masked into its
+    (plus, minus) selectors, and the (d, n/d, s) ``gaussian_blocks`` both
+    share.  The sketch of a parity is ``bullet(selector.entries, stacked)``,
+    with ``stacked`` the blocks on top of each other."""
 
     selector_plus: BlockSelector
     selector_minus: BlockSelector
     gaussian_blocks: np.ndarray
-    assembled_plus: np.ndarray
-    assembled_minus: np.ndarray
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self.selector_plus.cols
 
 
 def sample_rand_perf_gaussian(n, d, s, t, key) -> SketchFamily:
@@ -111,11 +104,4 @@ def sample_rand_perf_gaussian(n, d, s, t, key) -> SketchFamily:
         raise ValueError("sketch width and column count must be >= 1")
     plus, minus = sample_perf_countsketch(d, t, (*key, 0))
     blocks = fill_normal_blocks(np.empty((d, n // d, s)), *key)
-    stacked = blocks.reshape(n, s)
-    return SketchFamily(
-        selector_plus=plus,
-        selector_minus=minus,
-        gaussian_blocks=blocks,
-        assembled_plus=bullet(plus.entries, stacked),
-        assembled_minus=bullet(minus.entries, stacked),
-    )
+    return SketchFamily(selector_plus=plus, selector_minus=minus, gaussian_blocks=blocks)

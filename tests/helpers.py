@@ -1,6 +1,7 @@
 """Test-only reference code: matrix-free randomized SVD and generalized
-Nystrom on a whole operator, the dense-reference checks of a finished peel,
-a dense CSV writer and the reader of ``bench``'s config stamps."""
+Nystrom on a whole operator, a sketch family's assembled sketches, the
+dense-reference checks of a finished peel, a dense CSV writer and the reader
+of ``bench``'s config stamps."""
 
 import configparser
 
@@ -49,6 +50,16 @@ def gnm(op, k, s_R, s_L, rng) -> LowRankFactors:
     return gn_from_sketches(Y, op.apply(Psi, linops.TRANSPOSE).T, Psi, k)
 
 
+def assembled(fam) -> tuple:
+    """The (plus, minus) n x (s*t) sketches of a perforated family, each
+    ``bullet(selector.entries, stacked)`` as ``peel.residual_sketch`` builds
+    it, with ``stacked`` the Gaussian blocks on top of each other."""
+    stacked = np.concatenate(fam.gaussian_blocks)
+    return tuple(
+        sketch.bullet(sel.entries, stacked) for sel in (fam.selector_plus, fam.selector_minus)
+    )
+
+
 NOISE_REL_TOL = 1e-10
 
 
@@ -74,15 +85,16 @@ def dense_reference_errors(op, A, H, config) -> list:
             n, d, s, config.t_R, (config.seed, ell, ROLE_RIGHT)
         )
         Y = peel.residual_sketch(
-            op, H.stacks[: ell - 1], (right.assembled_plus, right.assembled_minus),
-            right.gaussian_blocks.reshape(n, s), right.cols, linops.FORWARD,
+            op, H.stacks[: ell - 1], (right.selector_plus, right.selector_minus),
+            right.gaussian_blocks.reshape(n, s), linops.FORWARD,
         ).reshape(d, m, s)
+        cols = right.selector_plus.cols
         for j in range(d):
             p = hodlr.partner(j)
             rows = residual[p * m:(p + 1) * m]
             noise = np.zeros((m, s))
             for i in range(j % 2, d, 2):
-                if i != j and right.cols[i] == right.cols[j]:
+                if i != j and cols[i] == cols[j]:
                     noise += rows[:, i * m:(i + 1) * m] @ right.gaussian_blocks[i]
             measured = Y[j] - rows[:, j * m:(j + 1) * m] @ right.gaussian_blocks[j]
             # At the scale of the sketch itself: where the true noise is zero,

@@ -1,21 +1,29 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hodlrpeel
 from hodlrpeel import hodlr
 from hodlrpeel.rng import stream
 
 from helpers import save_dense_csv
 
+# The directory holding the package these tests import, so that the CLI runs
+# the same code from any working directory.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hodlrpeel.__file__)))
+
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "hodlrpeel.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -124,6 +132,8 @@ def test_missing_input_file_is_a_usage_error(tmp_path, command, operator, flag):
 @pytest.mark.parametrize("operator, flag, text, reason", [
     ("dense", "--in", "1,2\nfoo,3\n", "could not convert string 'foo'"),
     ("kernel", "--points", "0,0,0\n1,1\n", "the number of columns changed from 3 to 2"),
+    ("dense", "--in", "", "it holds no rows"),
+    ("kernel", "--points", "", "it holds no rows"),
 ])
 def test_malformed_input_file_is_a_usage_error(tmp_path, command, operator, flag, text, reason):
     src, out = tmp_path / "bad.csv", tmp_path / "x.hodlr"
@@ -270,6 +280,17 @@ def test_bench_plotdata_format(tmp_path):
         assert (out / "exp_hard__RSVD1__k1.csv").exists()
         assert (where / "series.config").exists()
         assert not (out / ".config").exists()
+    # without --out: the directory is named after the experiment, and a CSV
+    # run of the same experiment still finds its own name free
+    r = run_cli("bench", "exp_hard", "--n", "16", "--preset", "RSVD1", "--trials", "1",
+                "--format", "plotdata", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "exp_hard" / "exp_hard__RSVD1__k1.csv").exists()
+    assert (tmp_path / "exp_hard.config").exists()
+    r = run_cli("bench", "exp_hard", "--n", "16", "--preset", "RSVD1", "--trials", "1",
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "exp_hard.csv").is_file()
 
 
 def test_check_bounds_exit_code_and_output():

@@ -30,6 +30,8 @@ from hodlrpeel.hodlr import (
 from hodlrpeel.lowrank import LowRankFactors
 from hodlrpeel.rng import stream
 
+from helpers import assembled
+
 
 def padded_stack(Qs, Xs):
     """Level stack of the blocks Q_j X_j, zero-padded to the largest rank."""
@@ -426,8 +428,8 @@ def level_sketch(rng, kind, leaf, n, d, s, t):
     if kind == "gaussian":
         fam = sketch.sample_rand_perf_gaussian(n, d, s, t, key)
         blocks = fam.gaussian_blocks.reshape(n, s)
-        inputs = (fam.assembled_plus, fam.assembled_minus)
-        return (sum(inputs),) if leaf else inputs, blocks, fam.cols
+        inputs = assembled(fam)
+        return (sum(inputs),) if leaf else inputs, blocks, fam.selector_plus.cols
     if leaf:
         eye = np.eye(m, max(s, m))
         blocks = np.tile(eye, (d, 1))

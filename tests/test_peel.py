@@ -19,7 +19,7 @@ from hodlrpeel.peel import (
 )
 from hodlrpeel.rng import ROLE_DIAG, ROLE_LEFT, ROLE_RIGHT, stream
 
-from helpers import dense_reference_errors
+from helpers import assembled, dense_reference_errors
 
 
 def hodlr_operator(n, k, key):
@@ -341,9 +341,11 @@ def test_block_factorization_calls_grow_with_levels_not_blocks(variant, monkeypa
 # residual_sketch -----------------------------------------------------------------
 
 def perforated_sketch(n, d, s, t, key):
-    """A level's perforated Gaussian sketch as residual_sketch takes it."""
+    """A level's perforated Gaussian sketch as residual_sketch takes it, its
+    selectors and input blocks, and the two sketches they assemble."""
     fam = sketch.sample_rand_perf_gaussian(n, d, s, t, key)
-    return (fam.assembled_plus, fam.assembled_minus), fam.gaussian_blocks.reshape(n, s), fam.cols
+    selectors = (fam.selector_plus, fam.selector_minus)
+    return selectors, fam.gaussian_blocks.reshape(n, s), assembled(fam)
 
 
 def read(products, cols, s):
@@ -358,10 +360,10 @@ def read(products, cols, s):
 
 def test_residual_sketch_no_levels_is_plain_apply():
     op, A = hodlr_operator(32, 2, (5,))
-    inputs, blocks, cols = perforated_sketch(32, 4, 3, 2, (18, 0))
+    selectors, blocks, inputs = perforated_sketch(32, 4, 3, 2, (18, 0))
     np.testing.assert_array_equal(
-        residual_sketch(op, [], inputs, blocks, cols, linops.FORWARD),
-        read([A @ x for x in inputs], cols, 3),
+        residual_sketch(op, [], selectors, blocks, linops.FORWARD),
+        read([A @ x for x in inputs], selectors[0].cols, 3),
     )
 
 
@@ -372,9 +374,10 @@ def test_residual_sketch_exact_levels_cancel():
     # the leaves' unperforated sketch against every level
     H0 = hodlr.HodlrMatrix(n=n, k=k, stacks=H.stacks, leaves=np.zeros_like(H.leaves))
     op = linops.make_dense_operator(H0.to_dense())
-    inputs, blocks, cols = perforated_sketch(n, 1 << H.L, 2, 1, (18, 2))
+    (plus, minus), blocks, _ = perforated_sketch(n, 1 << H.L, 2, 1, (18, 2))
+    leaf = sketch.BlockSelector(plus.entries + minus.entries, plus.cols)
     for side in (linops.FORWARD, linops.TRANSPOSE):
-        out = residual_sketch(op, H.stacks, (sum(inputs),), blocks, cols, side)
+        out = residual_sketch(op, H.stacks, (leaf,), blocks, side)
         assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(H0.to_dense() @ blocks)
 
 
@@ -389,10 +392,10 @@ def test_residual_sketch_matches_dense_subtraction():
         for j, f in enumerate(factors):
             r = hodlr.partner(j)
             lvl[r * m:(r + 1) * m, j * m:(j + 1) * m] = f.dense()
-    inputs, blocks, cols = perforated_sketch(n, 8, s, t, (18, 4))
+    selectors, blocks, inputs = perforated_sketch(n, 8, s, t, (18, 4))
     for side, M in ((linops.FORWARD, A - lvl), (linops.TRANSPOSE, (A - lvl).T)):
-        out = residual_sketch(op, H.stacks[:2], inputs, blocks, cols, side)
-        ref = read([M @ x for x in inputs], cols, s)
+        out = residual_sketch(op, H.stacks[:2], selectors, blocks, side)
+        ref = read([M @ x for x in inputs], selectors[0].cols, s)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     # only the op queries hit the counter: both assembled sketches per side
     assert op.counter.snapshot() == (2 * s * t, 2 * s * t)

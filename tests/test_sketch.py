@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from hodlrpeel import sketch
 from hodlrpeel.rng import seed_sequence, stream
 
+from helpers import assembled
+
 
 def bullet_bruteforce(X, Y):
     """Entrywise expansion of the block row-wise Kronecker product."""
@@ -87,8 +89,7 @@ def test_perf_countsketch_pair_structure(half, t, s, seed):
     fam = sketch.sample_rand_perf_gaussian(d * m, d, s, t, key)
     stacked = fam.gaussian_blocks.reshape(d * m, s)
     draw = sketch.sample_countsketch(d, t, (*key, 0)).entries
-    np.testing.assert_array_equal(fam.assembled_plus + fam.assembled_minus,
-                                  bullet_bruteforce(draw, stacked))
+    np.testing.assert_array_equal(sum(assembled(fam)), bullet_bruteforce(draw, stacked))
 
 
 def test_perf_countsketch_rejects_odd():
@@ -99,49 +100,45 @@ def test_perf_countsketch_rejects_odd():
 def test_family_minimal_layout():
     fam = sketch.sample_rand_perf_gaussian(4, 2, 1, 1, (3, 0))
     g, h = fam.gaussian_blocks
-    np.testing.assert_array_equal(fam.assembled_plus, np.vstack([g, np.zeros((2, 1))]))
-    np.testing.assert_array_equal(fam.assembled_minus, np.vstack([np.zeros((2, 1)), h]))
+    plus, minus = assembled(fam)
+    np.testing.assert_array_equal(plus, np.vstack([g, np.zeros((2, 1))]))
+    np.testing.assert_array_equal(minus, np.vstack([np.zeros((2, 1)), h]))
 
 
 @pytest.mark.parametrize("n,d,s,t", [(16, 4, 3, 2), (32, 8, 2, 5), (24, 2, 4, 1)])
 def test_family_shapes_and_reconstruction(n, d, s, t):
     fam = sketch.sample_rand_perf_gaussian(n, d, s, t, (3, 1))
-    assert fam.assembled_plus.shape == (n, s * t)
-    stacked = np.concatenate(fam.gaussian_blocks, axis=0)
-    np.testing.assert_array_equal(
-        fam.assembled_plus, sketch.bullet(fam.selector_plus.entries, stacked)
-    )
-    np.testing.assert_array_equal(
-        fam.assembled_minus, sketch.bullet(fam.selector_minus.entries, stacked)
-    )
+    assert fam.gaussian_blocks.shape == (d, n // d, s)
+    assert fam.selector_plus.entries.shape == fam.selector_minus.entries.shape == (d, t)
+    assert all(a.shape == (n, s * t) for a in assembled(fam))
 
 
 def test_family_perforation_parity():
     # every block row is zero in exactly one of the two assembled sketches
     n, d, s, t = 32, 8, 2, 3
     fam = sketch.sample_rand_perf_gaussian(n, d, s, t, (3, 2))
+    plus, minus = assembled(fam)
     m = n // d
     for i in range(d):
         rows = slice(i * m, (i + 1) * m)
-        plus_zero = not fam.assembled_plus[rows].any()
-        minus_zero = not fam.assembled_minus[rows].any()
+        plus_zero = not plus[rows].any()
+        minus_zero = not minus[rows].any()
         assert plus_zero != minus_zero
         assert plus_zero == (i % 2 == 1)  # plus keeps the 1-based odd rows
         # the active sketch is nonzero in exactly one block column
-        active = fam.assembled_minus if plus_zero else fam.assembled_plus
+        active = minus if plus_zero else plus
         nonzero_cols = [
             c for c in range(t) if active[rows, c * s:(c + 1) * s].any()
         ]
-        assert nonzero_cols == [fam.cols[i]]
+        assert nonzero_cols == [fam.selector_plus.cols[i]]
 
 
 def test_family_reseeding_reproduces_bits():
     a = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 5))
     b = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 5))
-    np.testing.assert_array_equal(a.assembled_plus, b.assembled_plus)
-    np.testing.assert_array_equal(a.assembled_minus, b.assembled_minus)
+    np.testing.assert_array_equal(assembled(a), assembled(b))
     c = sketch.sample_rand_perf_gaussian(32, 4, 3, 2, (9, 6))
-    assert (a.assembled_plus != c.assembled_plus).any()
+    assert (assembled(a)[0] != assembled(c)[0]).any()
 
 
 def test_family_draws_from_the_child_streams_of_its_key():
@@ -156,7 +153,7 @@ def test_family_draws_from_the_child_streams_of_its_key():
             fam.gaussian_blocks[i], np.random.default_rng(spawned[i + 1]).standard_normal((4, 3))
         )
     cols = np.random.default_rng(spawned[0]).integers(0, 2, size=8)
-    np.testing.assert_array_equal(fam.cols, cols)
+    np.testing.assert_array_equal(fam.selector_plus.cols, cols)
     np.testing.assert_array_equal(sketch.sample_countsketch(8, 2, (*key, 0)).cols, cols)
 
 
