@@ -118,13 +118,6 @@ def _kernel_operator(n, k, seed):
     return linops.make_kernel_operator(linops.helix_points(n, stream(seed, 10_000 + n)))
 
 
-def _hard_block_operator(n, k, seed):
-    # Dense, of order 8k: a cell above the limit is refused before it is built.
-    if 8 * k > linops.DESK_SCALE_LIMIT:
-        raise ValueError(f"n={8 * k} is above DESK_SCALE_LIMIT = {linops.DESK_SCALE_LIMIT}")
-    return linops.make_hard_block_instance(k, HARD_INSTANCE_ETA)
-
-
 def _recovery_operator(n, k, seed):
     H = hodlr.random_hodlr(n, k, stream(seed, 20_000 + n, k))
     return linops.make_dense_operator(H.to_dense())
@@ -154,7 +147,7 @@ GRID_EXPERIMENTS = {
         {}, 5,
     ),
     "hard_block": Experiment(
-        _hard_block_operator,
+        lambda n, k, seed: linops.make_hard_block_instance(k, HARD_INSTANCE_ETA),
         {"k": [1], "beta": [0.25], "preset": ["RSVD1", "GN1"]},
         {"n": "8k"}, 20,
     ),
@@ -461,8 +454,8 @@ def emit(rows, path, fmt="csv") -> None:
 
 def write_config_stamp(path, experiment, settings: dict) -> None:
     """Reproducibility stamp: the fully resolved settings of a run, as
-    sectioned key-value text next to the output file."""
-    cp = configparser.ConfigParser()
+    sectioned key-value text next to the output file, read without interpolation."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp[experiment] = {key: _fmt(val) for key, val in sorted(settings.items())}
     with open(path, "w") as fh:
         cp.write(fh)

@@ -163,6 +163,8 @@ def assemble(stacks, leaves, *, n, k, check_rank=True) -> HodlrMatrix:
                 f"level {ell}: stack shapes {stack.Q.shape} x {stack.X.shape} with"
                 f" ranks {ranks.shape} do not fit {d} blocks of size {m}"
             )
+        if not np.issubdtype(ranks.dtype, np.integer):
+            raise StructureError(f"level {ell}: ranks must be integers, got dtype {ranks.dtype}")
         if np.any((ranks < 0) | (ranks > r)):
             raise StructureError(f"level {ell}: ranks outside [0, {r}], the stack width")
         pad = np.arange(r) >= ranks[:, None]
@@ -172,7 +174,9 @@ def assemble(stacks, leaves, *, n, k, check_rank=True) -> HodlrMatrix:
         if check_rank and np.any(ranks > k):
             j = int(np.argmax(ranks > k))
             raise StructureError(f"level {ell} block {j}: rank {ranks[j]} exceeds k={k}")
-    return HodlrMatrix(n=n, k=k, stacks=list(stacks), leaves=leaves)
+    # Serialization reads the ranks as an array, whatever sequence was passed.
+    stacks = [LowRankFactors(st.Q, st.X, np.asarray(st.ranks)) for st in stacks]
+    return HodlrMatrix(n=n, k=k, stacks=stacks, leaves=leaves)
 
 
 class FlopCounter:

@@ -205,6 +205,10 @@ def make_hard_block_instance(k: int, eta: float) -> LinearOperator:
     k = int(k)
     if k < 1:
         raise DimensionError(f"hard-block instance needs rank k >= 1, got {k}")
+    if 8 * k > DESK_SCALE_LIMIT:  # held densely
+        raise DimensionError(
+            f"hard-block instance: n={8 * k} is above DESK_SCALE_LIMIT = {DESK_SCALE_LIMIT}"
+        )
     if not eta > 1 or not np.isfinite(eta):
         raise DimensionError(f"eta must be a finite number above 1, got {eta}")
     X = np.zeros((2 * k, 2 * k))

@@ -97,6 +97,8 @@ class PeelConfig:
     def __post_init__(self):
         if self.variant not in (GENERALIZED_NYSTROM, RSVD):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.s_L is None:
             self.s_L = self.s_R
         sizes = (self.k, self.s_R, self.t_R, self.s_L, self.t_L)
@@ -250,12 +252,19 @@ def residual_sketch(op, recovered, selectors, blocks, side) -> np.ndarray:
     return out.swapaxes(0, 1).reshape(d // 2, 2, m, s)
 
 
-def _regression_residual_ok(psi_t_q, X, Z):
-    """Relative residual of the sketched regression of every block of a
-    stack, the free per-level structure signal used by exact_recover."""
-    scale = np.linalg.norm(Z, axis=(-2, -1))
-    resid = np.linalg.norm(psi_t_q @ X - Z, axis=(-2, -1))
-    return bool(np.all((scale == 0.0) | (resid <= STRUCTURE_TOL * scale)))
+def _check_regression_residual(psi_t_q, X, Z, ell):
+    """Raise StructureViolationError at the first block of level ``ell``'s
+    stack (L + 1: the leaves) whose sketched regression leaves a relative
+    residual above STRUCTURE_TOL, the free structure signal of exact_recover."""
+    scale = np.linalg.norm(Z, axis=(-2, -1)).ravel()
+    resid = np.linalg.norm(psi_t_q @ X - Z, axis=(-2, -1)).ravel()
+    bad = np.flatnonzero(~((scale == 0.0) | (resid <= STRUCTURE_TOL * scale)))
+    if bad.size:
+        j = bad[0]
+        raise StructureViolationError(
+            f"level {ell} block {j}: sketched regression residual {resid[j] / scale[j]:.3g}"
+            f" exceeds STRUCTURE_TOL = {STRUCTURE_TOL:g}: operator is not HODLR(k)"
+        )
 
 
 def _pairs(blocks):
@@ -291,9 +300,8 @@ def _transpose_sketch(op, recovered, selectors, blocks):
 
 def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
     """Generalized Nystrom right factors: a sketched regression of every
-    block against an independent perforated left family.  Returns the
-    stacked factors and whether every regression residual is small (True
-    when ``structure_check`` is off)."""
+    block against an independent perforated left family, whose residuals
+    ``structure_check`` checks."""
     left = sketch.sample_rand_perf_gaussian(
         op.n, 1 << ell, config.s_L, config.t_L, (config.seed, ell, ROLE_LEFT)
     )
@@ -303,10 +311,9 @@ def _gn_step(op, recovered, config, ell, Y, truncate, structure_check):
     )
     Psi = _pairs(left.gaussian_blocks)[:, ::-1]
     stack = lowrank.gn_from_sketches(Y, Z, Psi, config.k if truncate else None)
-    ok = not structure_check or _regression_residual_ok(
-        Psi.swapaxes(-1, -2) @ stack.Q, stack.X, Z
-    )
-    return stack, ok
+    if structure_check:
+        _check_regression_residual(Psi.swapaxes(-1, -2) @ stack.Q, stack.X, Z, ell)
+    return stack
 
 
 def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
@@ -323,7 +330,7 @@ def _rsvd_step(op, recovered, config, ell, Y, truncate, structure_check):
     stacked = stacked.reshape(op.n, s_R)
     zetas = sketch.sample_perf_countsketch(d, config.t_L, (config.seed, ell, ROLE_LEFT))
     X = _transpose_sketch(op, recovered, zetas, stacked)
-    return _project_truncate(bases, X, config.k if truncate else None), True
+    return _project_truncate(bases, X, config.k if truncate else None)
 
 
 def _project_truncate(Q, X_padded, k):
@@ -374,8 +381,8 @@ def run_peel(
 ):
     """Peel ``op`` with the variant ``config.variant``; returns (HodlrMatrix,
     PeelReport).  ``truncate=False`` keeps full sketch-rank factors,
-    ``structure_check`` raises StructureViolationError on a regression
-    residual and ``allow_invalid`` skips guarantee validation."""
+    ``structure_check`` raises StructureViolationError at the first level
+    with a regression residual and ``allow_invalid`` skips validation."""
     n, k = op.n, config.k
     L = hodlr.level_count(n, k)  # rejects incompatible (n, k)
     violations = config.theory_violations()
@@ -385,14 +392,12 @@ def run_peel(
     report = PeelReport(variant=config.variant)
     t_start = time.perf_counter()
     recovered = []
-    structure_ok = True
 
     for ell in range(1, L + 1):
         t0 = time.perf_counter()
         f0, r0 = op.counter.snapshot()
         Y = _range_sketch(op, recovered, config, ell)
-        stack, ok = level_step(op, recovered, config, ell, Y, truncate, structure_check)
-        structure_ok = structure_ok and ok
+        stack = level_step(op, recovered, config, ell, Y, truncate, structure_check)
         # Sibling pairs (d/2, 2) flattened to the (d,) stack of the level.
         stack = lowrank.LowRankFactors(
             *(a.reshape((1 << ell,) + a.shape[2:]) for a in (stack.Q, stack.X, stack.ranks))
@@ -410,8 +415,8 @@ def run_peel(
     Z = residual_sketch(op, recovered, (selector,), blocks, linops.TRANSPOSE)
     Z = Z.swapaxes(-1, -2)
     leaves = lowrank.pinv_solve(psi_t, Z)
-    if structure_check and not _regression_residual_ok(psi_t, leaves, Z):
-        structure_ok = False
+    if structure_check:
+        _check_regression_residual(psi_t, leaves, Z, L + 1)
     leaves = leaves.reshape((d,) + leaves.shape[-2:])
     f1, r1 = op.counter.snapshot()
     report.levels.append(LevelStats(L + 1, f1 - f0, r1 - r0, time.perf_counter() - t0))
@@ -420,10 +425,6 @@ def run_peel(
     report.forward_total = sum(s.forward for s in report.levels)
     report.transpose_total = sum(s.transpose for s in report.levels)
     report.seconds = time.perf_counter() - t_start
-    if not structure_ok:
-        raise StructureViolationError(
-            "sketched regression residual exceeded tolerance: operator is not HODLR(k)"
-        )
     return H, report
 
 
@@ -442,11 +443,11 @@ def exact_recover(op, k, seed=0):
 
     Structure is checked two ways: the per-level sketched-regression
     residuals (free; the oversampled left sketch makes each regression
-    overdetermined, so a non-HODLR operator leaves a residual), and one extra
-    forward verification query against the assembled result.  Either failing
-    raises StructureViolationError.  Both use the fixed relative tolerance
-    STRUCTURE_TOL, which the recovery error of deeper trees can itself
-    reach (up to about 4e-6 at n = 2048, k = 8).
+    overdetermined, so a non-HODLR operator leaves one, and the first failing
+    level stops the peel), and one extra forward verification query against
+    the assembled result.  Either raises StructureViolationError.  Both use
+    the fixed relative tolerance STRUCTURE_TOL, which the recovery error of
+    deeper trees can itself reach (up to about 4e-6 at n = 2048, k = 8).
     """
     config = exact_config(k, seed=seed)
     H, report = run_peel(op, config, structure_check=True)

@@ -115,7 +115,7 @@ def save_dense_csv(M, path) -> None:
 
 
 def load_config(path) -> dict:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         cp.read_file(fh)
     return {sec: dict(cp[sec]) for sec in cp.sections()}

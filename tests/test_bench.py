@@ -188,9 +188,10 @@ def test_bad_grid_raises_before_any_peel(monkeypatch, grid):
 
 def test_hard_block_above_the_dense_limit_is_refused_before_it_is_built(monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("the instance was built before its size was checked")
+        raise AssertionError("a dense array was built before the size was checked")
 
-    monkeypatch.setattr(linops, "make_hard_block_instance", no_build)
+    monkeypatch.setattr(np, "block", no_build)
+    monkeypatch.setattr(linops, "make_dense_operator", no_build)
     with pytest.raises(bench.GridError, match="n=8192 is above DESK_SCALE_LIMIT"):
         bench._checked_cells("hard_block", {"k": [1024]}, 0)
 

@@ -9,7 +9,7 @@ import hodlrpeel
 from hodlrpeel import hodlr
 from hodlrpeel.rng import stream
 
-from helpers import save_dense_csv
+from helpers import load_config, save_dense_csv
 
 # The directory holding the package these tests import, so that the CLI runs
 # the same code from any working directory.
@@ -102,6 +102,18 @@ def test_approx_random_hodlr_without_layout_is_a_usage_error(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["approx", "recover"])
+def test_hard_block_above_the_dense_limit_is_a_usage_error(tmp_path, command):
+    out = tmp_path / "x.hodlr"
+    r = run_cli(command, "--operator", "hard-block", "--k", "1024", "--out", str(out))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("hodlrpeel: error: --operator hard-block: ")
+    assert "n=8192 is above DESK_SCALE_LIMIT" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("operator, size", [("hard-block", ()), ("exp-hard", ("--n", "64"))])
 @pytest.mark.parametrize("eta", ["nan", "inf"])
 def test_non_finite_eta_is_a_usage_error(tmp_path, operator, size, eta):
@@ -181,6 +193,12 @@ def test_bench_writes_csv_and_stamp(tmp_path):
     assert header.startswith("experiment,preset,n,k,beta,trial,relative_error")
     stamp = (tmp_path / "rec.csv.config").read_text()
     assert "[recovery]" in stamp and "seed = 5" in stamp
+    # a % in the output name is written and read back as it is
+    out = tmp_path / "run%1.csv"
+    r = run_cli("bench", "poisson", "--n", "16", "--k", "8", "--beta", "1", "--preset", "GN1",
+                "--trials", "1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert load_config(tmp_path / "run%1.csv.config")["poisson"]["out"] == str(out)
 
 
 def _bench_case(argv, message):

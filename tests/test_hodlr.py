@@ -123,6 +123,19 @@ def test_assemble_rejects_misfit_stacks():
             assemble([bad] + empty_stacks(n, k)[1:], leaves, n=n, k=k, check_rank=False)
 
 
+def test_assemble_stores_ranks_as_an_integer_array():
+    # a list of ranks serializes as the int64 original; float ranks are refused
+    H = random_hodlr(16, 2, stream(4, 3))
+
+    def with_ranks(convert):
+        stacks = [dataclasses.replace(st, ranks=convert(st.ranks)) for st in H.stacks]
+        return assemble(stacks, H.leaves, n=H.n, k=H.k)
+
+    assert to_bytes(with_ranks(np.ndarray.tolist)) == to_bytes(H)
+    with pytest.raises(StructureError, match="ranks must be integers"):
+        with_ranks(lambda r: r.astype(float))
+
+
 def test_assemble_rejects_wrong_leaf_shapes():
     n, k = 8, 2
     with pytest.raises(StructureError):

@@ -313,6 +313,16 @@ def test_hard_instances_reject_non_finite_eta(eta):
         linops.make_hard_block_instance(2, 1.0)
 
 
+def test_hard_block_above_the_dense_limit_is_refused_before_it_is_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a dense array was built before the size was checked")
+
+    monkeypatch.setattr(np, "block", no_build)
+    monkeypatch.setattr(linops, "make_dense_operator", no_build)
+    with pytest.raises(linops.DimensionError, match="n=8192 is above DESK_SCALE_LIMIT"):
+        linops.make_hard_block_instance(1024, 1e8)
+
+
 # CSV interchange -------------------------------------------------------------
 
 def test_point_cloud_csv_roundtrip(tmp_path):

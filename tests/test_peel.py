@@ -42,13 +42,15 @@ def test_config_defaults_and_sanity():
     with pytest.raises(ConfigError):
         PeelConfig(k=2, s_R=4, variant="other")
 
-    # sizes must be integers (numpy's too) and beta positive and finite,
-    # though not capped at 1
+    # sizes must be integers (numpy's too), the seed a non-negative integer
+    # (1.5 would peel as seed 1) and beta positive and finite, though not
+    # capped at 1
     for bad in (dict(k=2.5), dict(s_R=3.0), dict(t_R=1.5), dict(s_L=4.0), dict(t_L=2.0),
+                dict(seed=1.5), dict(seed=-1),
                 dict(beta=float("nan")), dict(beta=float("inf")), dict(beta=0.0)):
         with pytest.raises(ConfigError):
             PeelConfig(**{"k": 2, "s_R": 3, **bad})
-    PeelConfig(k=np.int64(2), s_R=np.int32(3), t_R=np.int64(2), beta=1.5)
+    PeelConfig(k=np.int64(2), s_R=np.int32(3), t_R=np.int64(2), seed=np.uint32(7), beta=1.5)
 
 
 def test_theory_violations_lists_failed_conditions():
@@ -299,9 +301,10 @@ def test_regression_residual_check_is_per_block():
     X = rng.standard_normal((2, 2, 5))
     X[0] *= 1e8
     Z = psi_t_q @ X
-    assert peel._regression_residual_ok(psi_t_q, X, Z)
+    peel._check_regression_residual(psi_t_q, X, Z, 3)
     Z[1] += 1e-3 * np.linalg.norm(Z[1]) * rng.standard_normal((6, 5))
-    assert not peel._regression_residual_ok(psi_t_q, X, Z)
+    with pytest.raises(StructureViolationError, match=r"level 3 block 1: .*regression residual"):
+        peel._check_regression_residual(psi_t_q, X, Z, 3)
 
 
 @pytest.mark.parametrize("preset", ["GN2", "RSVD2"])
@@ -533,6 +536,33 @@ def test_exact_recover_raises_on_dense_input():
     # check fires before the verification query
     with pytest.raises(StructureViolationError, match="regression residual"):
         exact_recover(op, 2, seed=0)
+
+
+def test_exact_recover_stops_at_the_first_failing_level():
+    # the t = 64 Poisson operator is not HODLR(8): its level-1 regression
+    # already fails, so only level 1's 2 s_R forward and 2 s_L transpose
+    # queries are spent
+    op = linops.make_poisson_operator(64)
+    with pytest.raises(StructureViolationError, match=r"level 1 block \d+: .*regression residual"):
+        exact_recover(op, 8, seed=0)
+    assert op.counter.snapshot() == (16, 36)
+
+
+def test_planted_violation_is_reported_at_its_level():
+    # block 2 of level L-1 of a HODLR(2) matrix raised to rank 3: levels
+    # 1..L-2 recover exactly, and level L-1 raises after its own queries
+    n, k = 128, 2
+    A = hodlr.random_hodlr(n, k, stream(24, 0)).to_dense()
+    L = hodlr.level_count(n, k)
+    blocks = hodlr.block_view(A, L - 1, 1)
+    m = blocks.shape[-1]
+    rng = stream(24, 1)
+    blocks[0, 1, 0] = rng.standard_normal((m, 3)) @ rng.standard_normal((3, m))
+    op = linops.make_dense_operator(A)
+    with pytest.raises(StructureViolationError, match=rf"level {L - 1} block 2: "):
+        exact_recover(op, k, seed=0)
+    cfg = peel.exact_config(k)
+    assert op.counter.snapshot() == (2 * (L - 1) * cfg.s_R, 2 * (L - 1) * cfg.s_L) == (20, 60)
 
 
 # No-truncation mode ------------------------------------------------------------------
