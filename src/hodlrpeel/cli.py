@@ -95,6 +95,10 @@ def _make_operator(args, k, seed):
         return bench.exp_hard_operator(args.n, args.eta)
     if not args.n:
         _usage_error("--operator random-hodlr needs --n")
+    if args.n > linops.DESK_SCALE_LIMIT:  # held densely; refused before any draw
+        raise linops.DimensionError(
+            f"n={args.n} is above DESK_SCALE_LIMIT = {linops.DESK_SCALE_LIMIT}"
+        )
     H = hodlr.random_hodlr(args.n, k, stream(seed, 2))
     return linops.make_dense_operator(H.to_dense())
 

@@ -1,11 +1,12 @@
-"""Two-core split of the peel's large batched kernels.
+"""Two-core split of the large batched kernels of the peel and of the apply.
 
 ``in_halves(fn, count, entries)`` runs ``fn(lo, hi)`` over [0, count) as two
 halves: the caller takes the first and one pool thread the second.  Each half
 runs the same numpy code on its own slice of independent pieces (transform
-columns, stacked matrices, Gaussian blocks), so the output has the bits of
-``fn(0, count)``.  A call of fewer than ``SPLIT_ENTRIES`` array entries, or a
-process allowed a single CPU, runs ``fn(0, count)`` inline.
+columns, stacked matrices, Gaussian blocks, row steps of the level
+subtraction, diagonal blocks of ``hodlr_apply``), so the output has the bits
+of ``fn(0, count)``.  A call of fewer than ``SPLIT_ENTRIES`` array entries,
+or a process allowed a single CPU, runs ``fn(0, count)`` inline.
 
 ``fn`` runs numpy only: the pool thread must not enter a library function that
 a caller may have wrapped.
@@ -19,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 # n = 256 to 4096 do split.  Timed split against inline on two cores, every
 # Poisson product and stacked SVD those peels make between 2^15 and 2^18
 # entries ran faster split, in each of two runs (0.48 to 0.98 of the inline
-# time).  Gaussian fills set their own, larger floor (rng.py).
+# time).  Gaussian fills (rng.py), the level subtraction and hodlr_apply
+# (hodlr.py) set their own, larger floors.
 SPLIT_ENTRIES = 1 << 15
 
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
+from .halves import in_halves
 from .lowrank import LowRankFactors, orth, truncated_svd
 
 MAGIC = b"HODLRPK1"
@@ -109,25 +110,25 @@ class HodlrMatrix:
         return fold(self, self.L)[0]
 
 
-def fold(H, c, counter=None) -> np.ndarray:
+def fold(H, c, lo=0, hi=None) -> np.ndarray:
     """The leaves and the bottom c levels of H as its n/D dense D x D
-    diagonal blocks, D = leaf size * 2^c: a (n/D, D, D) stack.  Each level
-    block Q_j X_j is written straight into its place (j ^ 1, j); c = L gives
-    the whole dense matrix as one block."""
+    diagonal blocks, D = leaf size * 2^c: a (n/D, D, D) stack, or its blocks
+    lo..hi-1.  Each level block Q_j X_j is written straight into its place
+    (j ^ 1, j); c = L gives the whole dense matrix as one block."""
     top = H.L - c
     D = H.n >> top
-    S = np.zeros((1 << top, D, D))
+    hi = (1 << top) if hi is None else hi
+    S = np.zeros((hi - lo, D, D))
     leaves = block_view(S, c, 0)
-    leaves[...] = H.leaves.reshape(leaves.shape)
+    leaves[...] = H.leaves[lo << c : hi << c].reshape(leaves.shape)
     for ell, stack in enumerate(H.stacks[top:], start=top + 1):
-        d, m, r = stack.Q.shape
+        m, r = stack.Q.shape[1:]
         if r == 0:
             continue
         blocks = block_view(S, ell - top, 1)
         batch = blocks.shape[:-2]
-        np.matmul(stack.Q.reshape(*batch, m, r), stack.X.reshape(*batch, r, m), out=blocks)
-        if counter is not None:
-            counter.add(d * m, r, m)
+        J = slice(lo << (ell - top), hi << (ell - top))  # the level blocks in S
+        np.matmul(stack.Q[J].reshape(*batch, m, r), stack.X[J].reshape(*batch, r, m), out=blocks)
     return S
 
 
@@ -194,6 +195,18 @@ class FlopCounter:
 # across the levels.
 STEP_ENTRIES = 1 << 16
 FOLD_ROWS = 32  # block rows that ``fold_depth`` folds whatever the rank
+# The kernel splits its row steps, and ``hodlr_apply`` its dense diagonal
+# blocks, across two cores (``halves.in_halves``) from this many entries of
+# the array the call builds: the kernel's output (n x s), the apply's folded
+# blocks (n x D).  Timed split against inline on two cores with BLAS on one
+# thread, three runs each: every kernel call of a GN1 Poisson peel at
+# n = 1024 to 16384 from 2^17 entries ran at 0.58 to 0.89 of the inline time
+# but the smallest (one level, 0.35 ms: 1.16); at 2^15 and 2^16 entries
+# (n = 1024, 32 columns; applies of 1024 x 64 to 16384 x 4) none ran faster
+# (0.91 to 1.08).  The dense part of an apply at n = 1024, D = 64 (2^16
+# entries) ran 1.44 times as long split, from 2^17 entries 0.53 to 1.04.  So
+# no call of an n = 1024 exp-hard peel or apply splits.
+SPLIT_APPLY = 1 << 17
 
 
 def _row_classes(F, m, c, swap, reverse):
@@ -245,6 +258,11 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     group, so with several groups one step takes all the rows.  Steps read
     the factors by class and sibling pair (``_row_classes``), and the input
     blocks by class: in place for c = 1, copied on every call for c = 2.
+
+    From ``SPLIT_APPLY`` output entries each pass runs in two halves of the
+    steps, the second on the pool thread (``halves.in_halves``), each half
+    with its own result buffer.  Every output row gets the same matmuls in
+    the same order as in one pass, so the bits do not depend on the split.
     """
     c, _, m, s = out.shape
     n = blocks.shape[0]
@@ -274,35 +292,48 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
             counter.add(n, r, s)
     if not levels:
         return
-    res = np.empty((c, step, s))
     acc = np.reshape(out, (c, rows, s), copy=False)
     classes = blocks.reshape(rows // m, c, m, s).swapaxes(0, 1)
-    for x0 in range(0, rows, step):
-        x1 = x0 + step
-        g = classes[:, x0 // m : x1 // m].reshape(c, step, s)  # a view if c = 1
-        for r, K, C, E, W in levels:
-            if W is not None:
+
+    def contract_and_map(lo, hi):  # row steps lo..hi-1
+        res = np.empty((c, step, s))
+        for x0 in range(lo * step, hi * step, step):
+            x1 = x0 + step
+            g = classes[:, x0 // m : x1 // m].reshape(c, step, s)  # a view if c = 1
+            for r, K, C, E, W in levels:
+                if W is not None:
+                    J, off = divmod(x0, K)
+                    W[:, J ^ 1] += C[:, J >> 1, J & 1, off : off + step].swapaxes(-1, -2) @ g
+                    continue
+                # The step holds whole partner pairs of slots, cut into u pieces
+                # of k rows each: one piece per slot, or one per input block.
+                u = 1 if one_group else K // m
+                k = K // u
+                pairs = slice(x0 // (2 * K), x1 // (2 * K))
+                shape = (c, step // (2 * K), 2, u, k)
+                P = C[:, pairs].reshape(shape + (r,)).swapaxes(-1, -2) @ g.reshape(shape + (s,))
+                P = P[:, :, ::-1]
+                if not one_group:
+                    P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
+                np.matmul(E[:, pairs].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
+                acc[:, x0:x1] -= res
+
+    def map_sums(lo, hi):  # row steps lo..hi-1
+        res = np.empty((c, step, s))
+        for x0 in range(lo * step, hi * step, step):
+            for K, E, W in summed:
                 J, off = divmod(x0, K)
-                W[:, J ^ 1] += C[:, J >> 1, J & 1, off : off + step].swapaxes(-1, -2) @ g
-                continue
-            # The step holds whole partner pairs of slots, cut into u pieces
-            # of k rows each: one piece per slot, or one per input block.
-            u = 1 if one_group else K // m
-            k = K // u
-            pairs = slice(x0 // (2 * K), x1 // (2 * K))
-            shape = (c, step // (2 * K), 2, u, k)
-            P = C[:, pairs].reshape(shape + (r,)).swapaxes(-1, -2) @ g.reshape(shape + (s,))
-            P = P[:, :, ::-1]
-            if not one_group:
-                P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
-            np.matmul(E[:, pairs].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
-            acc[:, x0:x1] -= res
+                np.matmul(E[:, J >> 1, J & 1, off : off + step], W[:, J], out=res)
+                acc[:, x0 : x0 + step] -= res
+
+    # The halves of the steps meet at rows / 2, a multiple of every K: the
+    # rows of a slot J, and so all the sums into W[:, J ^ 1], fall in one
+    # half.  The second pass starts once the first has returned.
+    size = out.size if out.size >= SPLIT_APPLY else 0
+    in_halves(contract_and_map, rows // step, size)
     summed = [(K, E, W) for r, K, C, E, W in levels if W is not None]
-    for x0 in range(0, rows, step) if summed else ():
-        for K, E, W in summed:
-            J, off = divmod(x0, K)
-            np.matmul(E[:, J >> 1, J & 1, off : off + step], W[:, J], out=res)
-            acc[:, x0 : x0 + step] -= res
+    if summed:
+        in_halves(map_sums, rows // step, size)
 
 
 # hodlr_apply's name for the kernel: a wrapper installed on
@@ -341,7 +372,10 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
     into dense D x D diagonal blocks and applied with one stacked matmul.  The
     top L - c levels are applied from their factors by the peel's subtraction
     kernel (``apply_contributions``) in its unperforated form, with the
-    D-row blocks of the folded product as its output blocks.
+    D-row blocks of the folded product as its output blocks.  From
+    ``SPLIT_APPLY`` folded entries the fold, the product and the negations
+    around the kernel run in two halves of the diagonal blocks, and the
+    kernel splits its own rows; each block gets the same calls either way.
     """
     if side not in ("forward", "transpose"):
         raise ValueError(f"unknown side {side!r}")
@@ -357,17 +391,27 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
         raise StructureError(f"expected {H.n} rows, got {X.shape[0]}")
     w = X.shape[1]
     c = fold_depth(H.n, H.k, w)
-    S = fold(H, c, counter)
-    g, D, _ = S.shape
+    top = H.L - c
+    g, D = 1 << top, H.n >> top
     Xb = X.reshape(g, D, w)
-    out = S @ Xb if side == "forward" else S.transpose(0, 2, 1) @ Xb
+    out = np.empty((g, D, w))
+
+    def dense(lo, hi):  # diagonal blocks lo..hi-1
+        S = fold(H, c, lo, hi)
+        np.matmul(S if side == "forward" else S.transpose(0, 2, 1), Xb[lo:hi], out=out[lo:hi])
+        # The kernel subtracts: run it on -out rather than on a copy -X.
+        np.negative(out[lo:hi], out=out[lo:hi])
+
+    size = H.n * D if H.n * D >= SPLIT_APPLY else 0
+    in_halves(dense, g, size)
     if counter is not None:
+        for stack in H.stacks[top:]:
+            d, m, r = stack.Q.shape
+            counter.add(d * m, r, m)
         counter.add(g * D, D, w)
-    # The kernel subtracts: run it on -out rather than on a copy -X.
-    np.negative(out, out=out)
-    _subtract_levels(H.stacks[: H.L - c], X, np.zeros(g, int), out.reshape(1, g, D, w),
+    _subtract_levels(H.stacks[:top], X, np.zeros(g, int), out.reshape(1, g, D, w),
                      side, counter)
-    np.negative(out, out=out)
+    in_halves(lambda lo, hi: np.negative(out[lo:hi], out=out[lo:hi]), g, size)
     out = out.reshape(H.n, w)
     return out[:, 0] if squeeze else out
 

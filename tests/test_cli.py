@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hodlrpeel
-from hodlrpeel import hodlr
+from hodlrpeel import cli, hodlr
 from hodlrpeel.rng import stream
 
 from helpers import load_config, save_dense_csv
@@ -111,6 +111,25 @@ def test_hard_block_above_the_dense_limit_is_a_usage_error(tmp_path, command):
     assert len(lines) == 1
     assert lines[0].startswith("hodlrpeel: error: --operator hard-block: ")
     assert "n=8192 is above DESK_SCALE_LIMIT" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["approx", "recover"])
+def test_random_hodlr_above_the_dense_limit_is_refused_before_it_is_built(
+        tmp_path, monkeypatch, capsys, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_hodlr was built above DESK_SCALE_LIMIT")
+
+    monkeypatch.setattr(hodlr, "random_hodlr", refuse)
+    out = tmp_path / "x.hodlr"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--operator", "random-hodlr", "--n", str(1 << 21), "--k", "8",
+                  "--out", str(out)])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0] == ("hodlrpeel: error: --operator random-hodlr:"
+                        " n=2097152 is above DESK_SCALE_LIMIT = 4096")
     assert not out.exists()
 
 
