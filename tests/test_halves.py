@@ -85,7 +85,7 @@ def test_fill_of_small_blocks_or_a_small_family_stays_inline(submitted, shape):
     assert np.array_equal(out[-1], rng.stream(11, 4, 1, len(out)).standard_normal(out[-1].shape))
 
 
-def test_exp_hard_peels_and_applies_at_n_1024_never_reach_the_pool(monkeypatch):
+def test_exp_hard_peels_at_n_1024_never_reach_the_pool(monkeypatch):
     # The applies take 64 columns on both sides, as the exphard-1k benchmark
     # times them.
     def refuse(*args, **kwargs):
