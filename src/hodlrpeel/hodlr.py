@@ -292,6 +292,7 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
             counter.add(n, r, s)
     if not levels:
         return
+    summed = [(K, E, W) for r, K, C, E, W in levels if W is not None]
     acc = np.reshape(out, (c, rows, s), copy=False)
     classes = blocks.reshape(rows // m, c, m, s).swapaxes(0, 1)
 
@@ -331,7 +332,6 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     # half.  The second pass starts once the first has returned.
     size = out.size if out.size >= SPLIT_APPLY else 0
     in_halves(contract_and_map, rows // step, size)
-    summed = [(K, E, W) for r, K, C, E, W in levels if W is not None]
     if summed:
         in_halves(map_sums, rows // step, size)
 
