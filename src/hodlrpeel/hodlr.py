@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linops
-from .halves import in_halves
+from . import halves, linops
 from .lowrank import LowRankFactors, orth, truncated_svd
 
 MAGIC = b"HODLRPK1"
@@ -331,9 +330,9 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     # rows of a slot J, and so all the sums into W[:, J ^ 1], fall in one
     # half.  The second pass starts once the first has returned.
     size = out.size if out.size >= SPLIT_APPLY else 0
-    in_halves(contract_and_map, rows // step, size)
+    halves.in_halves(contract_and_map, rows // step, size)
     if summed:
-        in_halves(map_sums, rows // step, size)
+        halves.in_halves(map_sums, rows // step, size)
 
 
 # hodlr_apply's name for the kernel: a wrapper installed on
@@ -403,7 +402,7 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
         np.negative(out[lo:hi], out=out[lo:hi])
 
     size = H.n * D if H.n * D >= SPLIT_APPLY else 0
-    in_halves(dense, g, size)
+    halves.in_halves(dense, g, size)
     if counter is not None:
         for stack in H.stacks[top:]:
             d, m, r = stack.Q.shape
@@ -411,7 +410,7 @@ def hodlr_apply(H: HodlrMatrix, X, side="forward", counter=None) -> np.ndarray:
         counter.add(g * D, D, w)
     _subtract_levels(H.stacks[:top], X, np.zeros(g, int), out.reshape(1, g, D, w),
                      side, counter)
-    in_halves(lambda lo, hi: np.negative(out[lo:hi], out=out[lo:hi]), g, size)
+    halves.in_halves(lambda lo, hi: np.negative(out[lo:hi], out=out[lo:hi]), g, size)
     out = out.reshape(H.n, w)
     return out[:, 0] if squeeze else out
 
@@ -451,6 +450,18 @@ def random_hodlr(n, k, rng) -> HodlrMatrix:
     return assemble(stacks, rng.standard_normal((1 << L, m, m)), n=n, k=k)
 
 
+# Containers from this many bytes (2 MiB) are hashed on the pool thread while
+# ``to_bytes`` writes and ``from_bytes`` parses them; smaller ones, and every
+# container in a process allowed a single CPU, on the calling thread.  Timed
+# pooled against inline on two cores with BLAS on one thread (median of 21
+# alternating calls on random_hodlr containers of 0.18 to 24 MB, three runs):
+# from_bytes ran faster pooled from 0.41 MB (0.59 to 0.91 of the inline time),
+# to_bytes only from 1.25 MB (0.68 to 0.99); below that to_bytes took 0.94
+# to 1.73 times as long.  The exp-hard containers of n = 1024 (0.11 MB at
+# most) stay inline.
+HASH_AHEAD = 1 << 21
+
+
 # Serialization: fixed header, per-block (index, rank, Q, X) records in level
 # order, leaf blocks, then a trailing 64-bit checksum (first 8 bytes of the
 # SHA-256 of everything before it, little-endian).  A record's (index, rank)
@@ -467,14 +478,18 @@ def _kept_words(ranks, m, r):
 
 
 def to_bytes(H: HodlrMatrix) -> bytearray:
-    # Written in place into one buffer and hashed once.  A level's blocks of rank
-    # rho write Q and X, cut to rho, as rows of a view whose rows start at every word.
+    # Written in place into one buffer.  A level's blocks of rank rho write Q and
+    # X, cut to rho, as rows of a view whose rows start at every word.  From
+    # HASH_AHEAD bytes each finished level is hashed on the pool thread while the
+    # next is written; a smaller container is hashed once at the end.
     head = MAGIC + struct.pack("<IQII", FORMAT_VERSION, H.n, H.k, H.L)
     widths = [1 + 2 * stack.Q.shape[1] * stack.ranks for stack in H.stacks]
     ends = np.cumsum([0] + [int(w.sum()) for w in widths])
     buf = bytearray(len(head) + 8 * (ends[-1] + H.leaves.size) + 8)
     buf[: len(head)] = head
     words = np.frombuffer(buf, "<f8", count=ends[-1] + H.leaves.size, offset=len(head))
+    hasher, pool, view = hashlib.sha256(), len(buf) >= HASH_AHEAD, memoryview(buf)
+    hashed, updates = 0, []  # bytes handed to the hasher, and their calls
     for stack, w, start, end in zip(H.stacks, widths, ends, ends[1:]):
         d, m = stack.Q.shape[:2]
         level = words[start:end]
@@ -486,9 +501,19 @@ def to_bytes(H: HodlrMatrix) -> bytearray:
             rows = np.ndarray((len(level) - m * rho + 1, m * rho), "<f8", level, strides=(8, 8))
             rows[at] = stack.Q[J, :, :rho].reshape(len(at), -1)
             rows[at + m * rho] = stack.X[J, :rho].reshape(len(at), -1)
+        if pool:  # the pool runs its calls in order, as the hash needs
+            stop = len(head) + 8 * end
+            updates.append(halves.start(hasher.update, view[hashed:stop], pool=pool))
+            hashed = stop
     words[ends[-1] :] = H.leaves.reshape(-1)
-    buf[-8:] = hashlib.sha256(memoryview(buf)[:-8]).digest()[:8]
+    updates.append(halves.start(hasher.update, view[hashed:-8], pool=pool))
+    for done in updates:
+        done()
+    buf[-8:] = hasher.digest()[:8]
     return buf
+
+
+_RECORD = struct.Struct("<II")
 
 
 def from_bytes(buf: bytes) -> HodlrMatrix:
@@ -496,15 +521,27 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
 
     Every header field is checked against the layout before it is used, and
     every read against the bytes left, so a damaged or lying container raises
-    only SerializationError.  Once a level's record headers are checked, its
+    only SerializationError.  The record headers of every level and the size
+    of the leaves are checked before anything is allocated; then each level's
     records are copied from the buffer in one step into a zero-padded array
     of words, and the level's Q and X are views into that array.
+
+    The checksum is computed while the container is parsed (on the pool
+    thread from ``HASH_AHEAD`` bytes), and a mismatch is reported before any
+    error the parse found.
     """
     if len(buf) < len(MAGIC) + 20 + 8:
         raise SerializationError("truncated HODLR container")
     payload, checksum = memoryview(buf)[:-8], buf[-8:]
-    if hashlib.sha256(payload).digest()[:8] != checksum:
-        raise SerializationError("checksum mismatch")
+    hashed = halves.start(hashlib.sha256, payload, pool=len(buf) >= HASH_AHEAD)
+    try:
+        return _parse(payload)
+    finally:
+        if hashed().digest()[:8] != checksum:
+            raise SerializationError("checksum mismatch") from None
+
+
+def _parse(payload) -> HodlrMatrix:
     if payload[: len(MAGIC)] != MAGIC:
         raise SerializationError("bad magic")
     off = len(MAGIC)
@@ -524,41 +561,44 @@ def from_bytes(buf: bytes) -> HodlrMatrix:
             payload, dtype="<f8", count=math.prod(shape), offset=start
         ).reshape(shape)
 
-    size = len(payload)
-    stacks = []
+    size, unpack = len(payload), _RECORD.unpack_from
+    levels = []  # (first byte, end, ranks) of each level's records
     for ell in range(1, L + 1):
         d, m = 1 << ell, n >> ell
         start, ranks = off, []
         for j in range(d):
             if off + 8 > size:
                 raise SerializationError(f"container ends before level {ell} block {j}")
-            idx, r = struct.unpack_from("<II", payload, off)
-            off += 8
+            idx, r = unpack(payload, off)
             if idx != j:
                 raise SerializationError(f"block index {idx} out of order at level {ell}")
             if r > m:
                 raise SerializationError(
                     f"level {ell} block {j}: rank {r} exceeds block size {m}"
                 )
-            if off + 16 * m * r > size:
+            off += 8 + 16 * m * r
+            if off > size:
                 raise SerializationError(f"container ends inside level {ell} block {j}")
             ranks.append(r)
-            off += 16 * m * r
-        ranks = np.array(ranks)
+        levels.append((start, off, ranks))
+    leaf = n >> L
+    if off + 8 * n * leaf > size:
+        raise SerializationError("container ends inside the leaf blocks")
+    if off + 8 * n * leaf != size:
+        raise SerializationError("trailing bytes in HODLR container")
+
+    stacks = []
+    for ell, (start, end, ranks) in enumerate(levels, start=1):
+        d, m, ranks = 1 << ell, n >> ell, np.array(ranks)
         r = ranks.max()
         padded = np.zeros((d, 1 + 2 * m * r))
-        padded[_kept_words(ranks, m, r)] = words(start, (off - start) // 8)
+        padded[_kept_words(ranks, m, r)] = words(start, (end - start) // 8)
         stacks.append(LowRankFactors(
             Q=padded[:, 1 : 1 + m * r].reshape(d, m, r),
             X=padded[:, 1 + m * r :].reshape(d, r, m),
             ranks=ranks,
         ))
-    m = n >> L
-    if off + 8 * n * m > size:
-        raise SerializationError("container ends inside the leaf blocks")
-    leaves = words(off, 1 << L, m, m).astype(float)
-    if off + 8 * n * m != size:
-        raise SerializationError("trailing bytes in HODLR container")
+    leaves = words(off, 1 << L, leaf, leaf).astype(float)
     return HodlrMatrix(n=n, k=k, stacks=stacks, leaves=leaves)
 
 

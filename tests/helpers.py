@@ -1,9 +1,11 @@
 """Test-only reference code: matrix-free randomized SVD and generalized
 Nystrom on a whole operator, a sketch family's assembled sketches, the
-dense-reference checks of a finished peel, a dense CSV writer and the reader
-of ``bench``'s config stamps."""
+dense-reference checks of a finished peel, a record-by-record container
+writer, a dense CSV writer and the reader of ``bench``'s config stamps."""
 
 import configparser
+import hashlib
+import struct
 
 import numpy as np
 
@@ -108,6 +110,18 @@ def dense_reference_errors(op, A, H, config) -> list:
         blocks -= H.stacks[ell - 1].dense().reshape(blocks.shape)
         errors.append(float(np.linalg.norm(blocks)))
     return errors
+
+
+def blockwise_container(H) -> bytes:
+    """The container written one block record at a time: the reference for
+    the per-level records of ``hodlr.to_bytes``."""
+    parts = [hodlr.MAGIC, struct.pack("<IQII", hodlr.FORMAT_VERSION, H.n, H.k, H.L)]
+    for factors in H.levels:
+        for j, f in enumerate(factors):
+            parts += [struct.pack("<II", j, f.rank), f.Q.astype("<f8").tobytes(),
+                      f.X.astype("<f8").tobytes()]
+    payload = b"".join(parts + [H.leaves.astype("<f8").tobytes()])
+    return payload + hashlib.sha256(payload).digest()[:8]
 
 
 def save_dense_csv(M, path) -> None:

@@ -1,9 +1,12 @@
 """The two-core split of the large batched kernels of the peel and of
-``hodlr_apply``: the same bits as one call at every site, no pool thread for
-calls below the threshold, and no traced function on the pool thread."""
+``hodlr_apply``, and the container checksum on the pool thread: the same bits
+as one call at every site, no pool thread for calls below the threshold, no
+traced function on the pool thread, and a working pool in a forked child."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,18 +14,25 @@ import pytest
 
 from hodlrpeel import bench, halves, hodlr, linops, peel, rng
 
+from helpers import blockwise_container
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """Qualified names of the functions handed to the pool; the split is on
+    """Qualified names of the library functions that handed work to the pool
+    (the first caller outside ``halves``: ``to_bytes`` for its hasher's
+    ``update``, ``apply_contributions`` for its row steps); the split is on
     (two CPUs) until a test turns it off."""
     names = []
     submit = halves._POOL.submit
 
     def recorded(fn, *args):
-        names.append(fn.__qualname__)
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename == halves.__file__:
+            frame = frame.f_back
+        names.append(frame.f_code.co_qualname)
         return submit(fn, *args)
 
     monkeypatch.setattr(halves._POOL, "submit", recorded)
@@ -35,7 +45,10 @@ def test_split_peel_is_bitwise_the_inline_peel(monkeypatch, submitted):
     config = bench.preset_config("GN1", 8, 0.25, seed=3)
     split = hodlr.to_bytes(peel.run_peel(op, config, allow_invalid=True)[0])
     sites = {name.split(".")[0] for name in submitted}
-    assert sites == {"make_poisson_operator", "_svd", "fill_normal_blocks", "apply_contributions"}
+    # The t = 64 container (about 5 MB) is above HASH_AHEAD, so to_bytes
+    # hashes it on the pool.
+    assert sites == {"make_poisson_operator", "_svd", "fill_normal_blocks", "apply_contributions",
+                     "to_bytes"}
     monkeypatch.setattr(halves, "CPUS", 1)
     count = len(submitted)
     inline = hodlr.to_bytes(peel.run_peel(op, config, allow_invalid=True)[0])
@@ -69,7 +82,7 @@ def test_poisson_product_split_is_bitwise_the_inline_product(monkeypatch, submit
 def test_split_fill_normal_blocks_matches_the_per_block_streams(submitted):
     out = np.empty((6, 4096, 4))
     rng.fill_normal_blocks(out, 11, 4, 1)
-    assert submitted == ["fill_normal_blocks.<locals>.fill"]
+    assert submitted == ["fill_normal_blocks"]
     for i, block in enumerate(out):
         assert np.array_equal(block, rng.stream(11, 4, 1, i + 1).standard_normal(block.shape))
 
@@ -100,9 +113,13 @@ def test_exp_hard_peels_at_n_1024_never_reach_the_pool(monkeypatch):
                              allow_invalid=True)
         for side in ("forward", "transpose"):
             hodlr.hodlr_apply(H, X, side=side)
+        # Their containers (about 110 KB at most) are hashed inline.
+        buf = hodlr.to_bytes(H)
+        assert len(buf) < hodlr.HASH_AHEAD
+        hodlr.from_bytes(buf)
 
 
-KERNEL = ["apply_contributions.<locals>.contract_and_map", "apply_contributions.<locals>.map_sums"]
+KERNEL = ["apply_contributions"] * 2  # the step loop, then the pass over summed levels
 
 
 def _split_and_inline(monkeypatch, submitted, call):
@@ -155,10 +172,10 @@ def test_split_hodlr_apply_is_bitwise_the_inline_apply(monkeypatch, submitted, s
     X = np.asarray(rng.stream(7, 5).standard_normal(shape), order=order)
     split, names, inline = _split_and_inline(
         monkeypatch, submitted, lambda: hodlr.hodlr_apply(H, X, side=side).tobytes())
-    # One column gives the kernel a single step.
-    dense = ["hodlr_apply.<locals>.dense"]
-    negate = ["hodlr_apply.<locals>.<lambda>"]
-    assert names == dense + (KERNEL if X.ndim == 2 and X.shape[1] > 1 else []) + negate
+    # The dense part, the kernel (one column gives it a single step), the
+    # negation.
+    assert names == ["hodlr_apply"] + (KERNEL if X.ndim == 2 and X.shape[1] > 1 else []) + [
+        "hodlr_apply"]
     assert split == inline
 
 
@@ -196,6 +213,52 @@ def test_split_peel_and_apply_run_every_traced_function_on_the_main_thread(
     X = rng.stream(7, 6).standard_normal((op.n, 64))
     for side in ("forward", "transpose"):
         hodlr.hodlr_apply(H, X, side=side)
+    buf = hodlr.to_bytes(H)
+    assert len(buf) >= hodlr.HASH_AHEAD
+    hodlr.from_bytes(buf)
     sites = {name.split(".")[0] for name in submitted}
     assert sites == {"make_poisson_operator", "_svd", "fill_normal_blocks",
-                     "apply_contributions", "hodlr_apply"}
+                     "apply_contributions", "hodlr_apply", "to_bytes", "from_bytes"}
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_pooled_and_inline_checksums_give_the_same_containers(monkeypatch, submitted, cpus):
+    # n = 2048, k = 8: 8 levels of 256 KB.  With the floor at one byte every
+    # level is hashed on the pool, unless the process has a single CPU.
+    monkeypatch.setattr(halves, "CPUS", cpus)
+    monkeypatch.setattr(hodlr, "HASH_AHEAD", 1)
+    H = hodlr.random_hodlr(2048, 8, rng.stream(7, 7))
+    buf = hodlr.to_bytes(H)
+    assert buf == blockwise_container(H)
+    K = hodlr.from_bytes(buf)
+    # One update per level and one for the leaves, then the checksum.
+    assert submitted == (["to_bytes"] * (H.L + 1) + ["from_bytes"] if cpus == 2 else [])
+    for a, b in zip(H.stacks, K.stacks):
+        assert a.Q.tobytes() == b.Q.tobytes() and a.X.tobytes() == b.X.tobytes()
+        assert np.array_equal(a.ranks, b.ranks)
+    assert H.leaves.tobytes() == K.leaves.tobytes()
+
+
+def test_forked_child_gets_a_working_pool():
+    # In a child forked after the pool thread started, the parent's thread is
+    # gone; a split call there must still return.  The alarm ends a child that
+    # hangs, and the fork runs in a subprocess, not in the test process.
+    script = """
+import os, signal
+from hodlrpeel import halves
+halves.CPUS = 2
+call = lambda: halves.in_halves(lambda lo, hi: (lo, hi), 4, 1 << 20)
+assert call() == [(0, 2), (2, 4)]
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    os._exit(0 if call() == [(0, 2), (2, 4)] else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+    package_root = os.path.dirname(os.path.dirname(halves.__file__))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, (done.returncode, done.stderr)

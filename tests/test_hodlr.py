@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodlrpeel import hodlr, sketch
+from hodlrpeel import halves, hodlr, sketch
 from hodlrpeel.hodlr import (
     FlopCounter,
     HodlrMatrix,
@@ -30,7 +31,7 @@ from hodlrpeel.hodlr import (
 from hodlrpeel.lowrank import LowRankFactors
 from hodlrpeel.rng import stream
 
-from helpers import assembled
+from helpers import assembled, blockwise_container
 
 
 def padded_stack(Qs, Xs):
@@ -622,18 +623,6 @@ def test_roundtrip_random_bit_exact():
         np.testing.assert_array_equal(a, b)
 
 
-def blockwise_container(H):
-    """The container written one block record at a time: the reference for
-    the per-level records of ``to_bytes``."""
-    parts = [hodlr.MAGIC, struct.pack("<IQII", hodlr.FORMAT_VERSION, H.n, H.k, H.L)]
-    for factors in H.levels:
-        for j, f in enumerate(factors):
-            parts += [struct.pack("<II", j, f.rank), f.Q.astype("<f8").tobytes(),
-                      f.X.astype("<f8").tobytes()]
-    payload = b"".join(parts + [H.leaves.astype("<f8").tobytes()])
-    return payload + hashlib.sha256(payload).digest()[:8]
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=mixed_rank_hodlr())
 def test_roundtrip_keeps_padded_stacks(case):
@@ -703,6 +692,80 @@ def test_fuzzed_rechecksummed_container_raises_only_serialization_error(data):
         from_bytes(rechecksummed(payload))
     except SerializationError:
         pass
+
+
+@pytest.mark.parametrize("cpus, floor", [(2, 1), (1, hodlr.HASH_AHEAD)])
+def test_checksum_mismatch_is_reported_before_a_parse_error(monkeypatch, cpus, floor):
+    # The pool thread hashes while the parse fails on the first rank; the
+    # checksum, not the rank, is reported, pooled or inline.
+    monkeypatch.setattr(halves, "CPUS", cpus)
+    monkeypatch.setattr(hodlr, "HASH_AHEAD", floor)
+    buf = bytearray(to_bytes(random_hodlr(16, 2, stream(4, 4))))
+    struct.pack_into("<I", buf, 32, 10**6)  # the first rank, far above the block size
+    with pytest.raises(SerializationError, match="checksum mismatch"):
+        from_bytes(bytes(buf))
+    with pytest.raises(SerializationError, match="rank 1000000 exceeds block size 8"):
+        from_bytes(rechecksummed(buf[:-8]))
+
+
+def lying_container(n, k, ell, lies, data=True, tail=0):
+    """A rechecksummed container of the (n, k) layout that ends after level
+    ``ell`` and ``tail`` zero bytes.  Every block of levels 1..ell has rank 0
+    but block j of level ell for each j in ``lies``, whose record has rank
+    ``lies[j]`` and, with ``data``, that rank's Q and X words (zeros)."""
+    parts = [hodlr.MAGIC, struct.pack("<IQII", hodlr.FORMAT_VERSION, n, k, level_count(n, k))]
+    for level in range(1, ell + 1):
+        for j in range(1 << level):
+            r = lies.get(j, 0) if level == ell else 0
+            parts.append(struct.pack("<II", j, r) + bytes(16 * (n >> level) * r if data else 0))
+    return rechecksummed(b"".join(parts) + bytes(tail))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("rank, size", [(4, 327_700), (1024, 17_039_380)])
+def test_lying_deep_level_raises_before_allocating(rank, size):
+    # n = 2^24, k = 1 declares 24 levels; these end after level 14, whose
+    # block 0 has rank 4 or 1024 (its Q and X present).  Its padded level
+    # would take 1 GB or 256 GiB; no level may be allocated before the walk
+    # has found the end of the container.
+    buf = lying_container(1 << 24, 1, 14, {0: rank})
+    assert len(buf) == size
+
+    def read():
+        with pytest.raises(SerializationError, match="container ends before level 15 block 0"):
+            from_bytes(buf)
+
+    assert traced_peak(read) < 2 * len(buf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ell=st.integers(8, 12), depth=st.integers(4, 28),
+       lies=st.dictionaries(st.integers(0, 255), st.integers(1, 2**32 - 1), min_size=1,
+                            max_size=3),
+       tail=st.integers(0, 1 << 16))
+def test_lying_ranks_at_a_deep_level_raise_before_allocating(ell, depth, lies, tail):
+    # Record headers that claim ranks (some above the block size) at level
+    # 8 to 12 of a layout of 12 to 40 levels, of blocks of 2^depth rows.  The
+    # lying blocks' words are written when they take 128 KB or less, so that
+    # the walk may get past the level; otherwise they are missing.
+    data = (16 << depth) * max(lies.values()) <= 1 << 17
+    buf = lying_container(1 << (ell + depth), 1, ell, lies, data=data, tail=tail)
+
+    def read():
+        with pytest.raises(SerializationError):
+            from_bytes(buf)
+
+    assert traced_peak(read) < 2 * len(buf)
 
 
 def test_save_load_file(tmp_path):
