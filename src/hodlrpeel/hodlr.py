@@ -113,7 +113,9 @@ def fold(H, c, lo=0, hi=None) -> np.ndarray:
     """The leaves and the bottom c levels of H as its n/D dense D x D
     diagonal blocks, D = leaf size * 2^c: a (n/D, D, D) stack, or its blocks
     lo..hi-1.  Each level block Q_j X_j is written straight into its place
-    (j ^ 1, j); c = L gives the whole dense matrix as one block."""
+    (j ^ 1, j); c = L gives the whole dense matrix as one block.  A rank-1
+    level of blocks from ``PAD_RANK1`` entries has its Q and X padded with
+    zeros to rank 2 for the product (``_pad_inner``), with the same bits."""
     top = H.L - c
     D = H.n >> top
     hi = (1 << top) if hi is None else hi
@@ -127,7 +129,10 @@ def fold(H, c, lo=0, hi=None) -> np.ndarray:
         blocks = block_view(S, ell - top, 1)
         batch = blocks.shape[:-2]
         J = slice(lo << (ell - top), hi << (ell - top))  # the level blocks in S
-        np.matmul(stack.Q[J].reshape(*batch, m, r), stack.X[J].reshape(*batch, r, m), out=blocks)
+        Q, X = stack.Q[J].reshape(*batch, m, r), stack.X[J].reshape(*batch, r, m)
+        if r == 1 and m * m >= PAD_RANK1:
+            Q, X = _pad_inner(Q, left=True), _pad_inner(X, left=False)
+        np.matmul(Q, X, out=blocks)
     return S
 
 
@@ -206,6 +211,35 @@ FOLD_ROWS = 32  # block rows that ``fold_depth`` folds whatever the rank
 # entries) ran 1.44 times as long split, from 2^17 entries 0.53 to 1.04.  So
 # no call of an n = 1024 exp-hard peel or apply splits.
 SPLIT_APPLY = 1 << 17
+# numpy multiplies a product with inner dimension 1, (k, 1) @ (1, s), in its
+# own loop and not in BLAS.  The kernel's maps and ``fold``'s outer products
+# of rank-1 levels are padded with zeros to (k, 2) @ (2, s), which goes to
+# BLAS, from this many output entries per matrix.  Timed on the n = 1024,
+# k = 1 exp-hard shapes (the 12 criterion-7 peels' kernel calls replayed,
+# their 48 applies to 64 columns, their 12 dense expansions; BLAS on one
+# thread, median of 15 to 31 alternating rounds, three seeds): from 32 to
+# 128 entries the peel calls took 57.4-58.5 ms, from 1024 59.1-61.3, never
+# 60.8-61.9, and from 0 (maps of a single entry too) 66.0-66.5; the applies
+# 28.0-30.1 ms from 64, 29.4-30.8 from 1024, 46.8-48.2 never; the dense
+# expansions 13.4-15.7 ms from 64, 26.7-27.1 never.  Padding costs a
+# fixed ~1 us per matmul call: one 8 x 8 map took 2.0 us padded against 1.0
+# unpadded, a stack of 256 of them in one call 13.7 against 26.3.
+PAD_RANK1 = 1 << 6
+
+
+def _pad_inner(F, left):
+    """A rank-1 operand padded with zeros to inner dimension 2: (..., a, 1)
+    to (..., a, 2) on the ``left`` of a product, (..., 1, b) to (..., 2, b)
+    on the right.  Each entry of the product is then one rounded product
+    plus 0 * 0, which is what numpy's own loop gives (+0.0 where the product
+    is -0.0; a plain ``np.multiply`` would keep -0.0)."""
+    if left:
+        P = np.zeros(F.shape[:-1] + (2,))
+        P[..., :1] = F
+    else:
+        P = np.zeros(F.shape[:-2] + (2,) + F.shape[-1:])
+        P[..., :1, :] = F
+    return P
 
 
 def _row_classes(F, m, c, swap, reverse):
@@ -258,6 +292,12 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
     the factors by class and sibling pair (``_row_classes``), and the input
     blocks by class: in place for c = 1, copied on every call for c = 2.
 
+    A rank-1 level whose maps have ``PAD_RANK1`` output entries or more maps
+    through BLAS: its map factors are padded with zeros to rank 2 once per
+    call, and so are the sums they meet (each step's P, or W as allocated),
+    while the contractions stay as they are.  The bits do not change
+    (``_pad_inner``).
+
     From ``SPLIT_APPLY`` output entries each pass runs in two halves of the
     steps, the second on the pool thread (``halves.in_halves``), each half
     with its own result buffer.  Every output row gets the same matmuls in
@@ -284,7 +324,10 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
         C = _row_classes(Xt if fwd else Q, m, c, swap=not fwd, reverse=False)
         E = _row_classes(Q if fwd else Xt, m, c, swap=fwd, reverse=True)
         K = M // c
-        W = np.zeros((c, rows // K, r, s)) if K >= step else None
+        # The rows of one map: a step, a slot, or an input block
+        if r == 1 and (step if K >= step else K if one_group else m) * s >= PAD_RANK1:
+            E = _pad_inner(E, left=True)
+        W = np.zeros((c, rows // K, E.shape[-1], s)) if K >= step else None
         levels.append((r, K, C, E, W))
         if counter is not None:
             counter.add(r, n, s)
@@ -303,7 +346,7 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
             for r, K, C, E, W in levels:
                 if W is not None:
                     J, off = divmod(x0, K)
-                    W[:, J ^ 1] += C[:, J >> 1, J & 1, off : off + step].swapaxes(-1, -2) @ g
+                    W[:, J ^ 1, :r] += C[:, J >> 1, J & 1, off : off + step].swapaxes(-1, -2) @ g
                     continue
                 # The step holds whole partner pairs of slots, cut into u pieces
                 # of k rows each: one piece per slot, or one per input block.
@@ -315,7 +358,10 @@ def apply_contributions(contribs, blocks, cols, out, side="forward", counter=Non
                 P = P[:, :, ::-1]
                 if not one_group:
                     P = _group_sums(P, groups[:, x0 // m : x1 // m].reshape(shape[:-1]))
-                np.matmul(E[:, pairs].reshape(shape + (r,)), P, out=res.reshape(shape + (s,)))
+                if E.shape[-1] > r:
+                    P = _pad_inner(P, left=False)
+                np.matmul(E[:, pairs].reshape(shape + E.shape[-1:]), P,
+                          out=res.reshape(shape + (s,)))
                 acc[:, x0:x1] -= res
 
     def map_sums(lo, hi):  # row steps lo..hi-1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hodlrpeel import halves, hodlr, sketch
+from hodlrpeel import bench, halves, hodlr, peel, sketch
 from hodlrpeel.hodlr import (
     FlopCounter,
     HodlrMatrix,
@@ -264,6 +264,15 @@ apply_cases = st.one_of(
 )
 
 
+# Route thresholds that pad every rank-1 product, the default, and none.
+ROUTE = {"on": 0, "default": hodlr.PAD_RANK1, "off": 1 << 62}
+
+
+def digest(a):
+    """SHA-256 of an array's bytes: a short message when outputs differ."""
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
 def assert_close(out, ref):
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -273,11 +282,18 @@ def assert_close(out, ref):
        step=st.sampled_from([1, 64, hodlr.STEP_ENTRIES]))
 def test_stacked_kernel_matches_blockwise_products(case, side, step):
     # STEP_ENTRIES 1 and 64 cut the unfolded levels' rows into several steps,
-    # so that the levels larger than a step are summed over the steps
+    # so that the levels larger than a step are summed over the steps.  Every
+    # rank-1 product padded to rank 2 (ROUTE "on") gives the bits of none.
     H, _, X = case
     ref = blockwise_apply(H.n, H.levels, H.leaves, X, side)
     with mock.patch.object(hodlr, "STEP_ENTRIES", step):
-        assert_close(hodlr_apply(H, X, side=side), ref)
+        outputs = {}
+        for route in ("on", "off"):
+            with mock.patch.object(hodlr, "PAD_RANK1", ROUTE[route]):
+                out = hodlr_apply(H, X, side=side)
+                outputs[route] = digest(out), digest(H.to_dense())
+        assert outputs["on"] == outputs["off"]
+        assert_close(out, ref)
         assert_close(hodlr_apply(from_bytes(to_bytes(H)), X, side=side), ref)
 
 
@@ -404,6 +420,70 @@ def test_flop_counter_counts_the_fold():
     top = (L - folded) * 4 * n * k * w
     fold = sum(2 * n * (n >> ell) * k for ell in range(L - folded + 1, L + 1))
     assert c.flops == top + fold + 2 * n * (n >> (L - folded)) * w
+
+
+# Rank-1 products padded to rank 2 -------------------------------------------------
+
+def awkward(rng, shape):
+    """Gaussian entries with exact zeros of both signs, subnormals, and pairs
+    whose products underflow to -0.0."""
+    F = rng.standard_normal(shape).ravel()
+    F[::5] = 0.0
+    F[1::5] = -0.0
+    F[2::5] = rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308], F[2::5].size)
+    F[3::5] = rng.choice([1e-200, -1e-200], F[3::5].size)
+    return F.reshape(shape)
+
+
+@pytest.mark.parametrize("count, k, s", [(3, 4, 5), (1, 8, 1), (6, 2, 64), (2, 64, 16)])
+def test_padded_rank1_product_has_the_bytes_of_matmul(count, k, s):
+    # (count, k, 1) @ (count, 1, s) below and above PAD_RANK1 output entries
+    # per matrix: padded to inner dimension 2 it goes to BLAS, unpadded to
+    # numpy's own loop, and each entry is the same rounded product
+    rng = stream(2, 16)
+    E, P = awkward(rng, (count, k, 1)), awkward(rng, (count, 1, s))
+    loop = np.matmul(E, P)
+    padded = np.matmul(hodlr._pad_inner(E, left=True), hodlr._pad_inner(P, left=False))
+    assert digest(padded) == digest(loop)
+    # np.multiply keeps the sign of -0.0 products, which both matmuls give as
+    # +0.0: it is no drop-in for the padded product
+    negzero = np.signbit(E * P) & (E * P == 0)
+    assert negzero.any() and not np.signbit(loop[negzero]).any()
+    assert digest(np.multiply(E, P)) != digest(loop)
+
+
+@pytest.fixture(scope="module")
+def rank1_layouts():
+    """k = 1 layouts at n = 1024: a random one and a GN2 exp-hard peel."""
+    op = bench.exp_hard_operator(1024)
+    H, _ = peel.run_peel(op, bench.preset_config("GN2", 1, 0.25, seed=0), allow_invalid=True)
+    return {"random": random_hodlr(1024, 1, stream(2, 17)), "exp_hard": H}
+
+
+@pytest.mark.parametrize("layout", ["random", "exp_hard"])
+@pytest.mark.parametrize("side", ["forward", "transpose"])
+@pytest.mark.parametrize("w, order", [(1, "C"), (64, "C"), (129, "C"), (64, "F")])
+def test_padded_route_gives_the_bits_of_the_loop(rank1_layouts, monkeypatch, layout, side, w,
+                                                 order):
+    H = rank1_layouts[layout]
+    X = np.asarray(stream(2, 18).standard_normal((1024, w)), order=order)
+    outputs = {}
+    for route, floor in ROUTE.items():
+        monkeypatch.setattr(hodlr, "PAD_RANK1", floor)
+        outputs[route] = digest(hodlr_apply(H, X, side=side)), digest(H.to_dense())
+    assert outputs["on"] == outputs["default"] == outputs["off"]
+
+
+def test_exp_hard_peel_gives_the_same_container_with_and_without_the_route(monkeypatch):
+    op = bench.exp_hard_operator(1024)
+    containers = set()
+    for floor in ROUTE.values():
+        monkeypatch.setattr(hodlr, "PAD_RANK1", floor)
+        for preset, beta in (("RSVD1", 0.5), ("GN2", 0.25)):
+            H, _ = peel.run_peel(op, bench.preset_config(preset, 1, beta, seed=1),
+                                 allow_invalid=True)
+            containers.add((preset, hashlib.sha256(to_bytes(H)).hexdigest()))
+    assert len(containers) == 2
 
 
 # The peel's recovered-level correction -------------------------------------------
