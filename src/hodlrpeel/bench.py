@@ -1,11 +1,11 @@
 """Experiment harness: presets, error metrics, the experiment table,
 executable bound checks, and CSV/plot-data output.
 
-Every grid experiment is one ``GRID_EXPERIMENTS`` entry (operator factory
-and default grid) run by ``run_experiment``.  The peels skip validation of
-preset configs against the guarantee inequalities: several presets
-deliberately violate them; that is the point of the failure-mode
-experiments.
+Every experiment is one ``GRID_EXPERIMENTS`` entry (operator factory and
+default grid) run by ``run_experiment``; ``bound_checks`` is no grid.  The
+peels skip validation of preset configs against the guarantee inequalities:
+several presets deliberately violate them; that is the point of the
+failure-mode experiments.
 """
 
 import configparser
@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -163,9 +164,6 @@ GRID_EXPERIMENTS = {
     ),
 }
 
-EXPERIMENTS = (*GRID_EXPERIMENTS, "bound_checks")
-
-
 def _cell_configs(cells, k) -> list:
     """(config, preset column) of each cell at rank k, in grid order: the
     preset grids expand every (beta, preset), recovery takes the
@@ -186,13 +184,11 @@ def _checked_cells(name, grid, seed) -> dict:
                    else f"its axes are {', '.join(spec.grid)}")
             raise GridError(f"--{key} does not apply to {name}: {why}")
     cells = {**{key: [v] for key, v in spec.fixed.items()}, **spec.grid, **grid}
-    limit = linops.DESK_SCALE_LIMIT
     for n, k in itertools.product(cells["n"], cells["k"]):
         try:
             # Errors are taken densely, so a cell above the limit is refused.
             size = spec.operator(n, k, seed).n
-            if size > limit:
-                raise ValueError(f"n={size} is above DESK_SCALE_LIMIT = {limit}")
+            linops.refuse_dense(size, f"{name} at n={n}, k={k}")
             hodlr.level_count(size, k)
             _cell_configs(cells, k)
         except linops.DimensionError as exc:  # the size rules name their operator
@@ -242,22 +238,15 @@ def run_experiment(name, grid=None, trials=None, seed=0) -> list:
     ``grid`` overrides the defaults of ``GRID_EXPERIMENTS[name]`` axis by
     axis, and the whole grid is checked before the first peel (GridError).
     Cells are (n, k) x configs in grid order; every cell draws its trial
-    seeds from a stream keyed by (seed, cell, trial).  ``bound_checks`` has
-    no grid and takes ``trials`` as the dict of per-check counts that
-    ``bound_checks`` documents.
+    seeds from a stream keyed by (seed, cell, trial).  ``trials`` is the
+    trial count of every cell, an integer, or None for the experiment's
+    default.
     """
-    grid = dict(grid or {})
-    if name == "bound_checks":
-        if grid:
-            raise GridError(f"--{next(iter(grid))} does not apply to bound_checks: it has no grid")
-        if trials is not None and not isinstance(trials, dict):
-            raise GridError("--trials does not apply to bound_checks: each check has its own count")
-        return bound_rows(bound_checks(seed=seed, trials=trials), seed)
     if name not in GRID_EXPERIMENTS:
-        raise GridError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    if trials is not None and trials < 1:
-        raise GridError(f"--trials must be at least 1, got {trials}")
-    spec, cells = GRID_EXPERIMENTS[name], _checked_cells(name, grid, seed)
+        raise GridError(f"unknown experiment {name!r}; choose from {', '.join(GRID_EXPERIMENTS)}")
+    if trials is not None and not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise GridError(f"--trials must be an integer of at least 1, got {trials!r}")
+    spec, cells = GRID_EXPERIMENTS[name], _checked_cells(name, grid or {}, seed)
     trials = spec.trials if trials is None else trials
     rows, cell = [], 0
     for n, k in itertools.product(cells["n"], cells["k"]):

@@ -3,8 +3,10 @@
 Subcommands:
   approx        one operator -> HODLR file + report summary
   recover       exact recovery of an operator promised to be HODLR(k)
-  bench <name>  experiment grids -> CSV (plus a resolved-config stamp)
-  check-bounds  executable bound suites; exit code 1 on any failure
+  bench <name>  one experiment grid -> CSV (plus a resolved-config stamp)
+  check-bounds  executable bound suites (-> CSV with --out); exit code 1 on any failure
+
+Invalid arguments, operators and grids are usage errors, with exit code 2.
 """
 
 import argparse
@@ -28,7 +30,8 @@ def _add_operator_args(p):
     p.add_argument("--in", dest="infile", help="dense matrix CSV (operator=dense)")
     p.add_argument("--points", help="x,y,z point cloud CSV (operator=kernel)")
     p.add_argument("--n", type=int, help="dimension for synthetic operators")
-    p.add_argument("--eta", type=float, default=1e8, help="hard-instance scale")
+    p.add_argument("--eta", type=float, default=bench.HARD_INSTANCE_ETA,
+                   help="hard-instance scale")
 
 
 def _usage_error(message):
@@ -95,10 +98,7 @@ def _make_operator(args, k, seed):
         return bench.exp_hard_operator(args.n, args.eta)
     if not args.n:
         _usage_error("--operator random-hodlr needs --n")
-    if args.n > linops.DESK_SCALE_LIMIT:  # held densely; refused before any draw
-        raise linops.DimensionError(
-            f"n={args.n} is above DESK_SCALE_LIMIT = {linops.DESK_SCALE_LIMIT}"
-        )
+    linops.refuse_dense(args.n)  # held densely; refused before any draw
     H = hodlr.random_hodlr(args.n, k, stream(seed, 2))
     return linops.make_dense_operator(H.to_dense())
 
@@ -159,20 +159,22 @@ def _cmd_recover(args):
     return 0
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v]
+def _comma_list(kind):
+    """The type of a grid option: a comma list of ``kind`` values.  An empty
+    list or item is invalid, as is a value ``kind`` cannot read."""
+    def comma_list(text):
+        items = text.split(",")
+        if "" in items:
+            raise ValueError(text)
+        return [kind(v) for v in items]
+    return comma_list
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v]
-
-
-def _str_list(text):
-    return text.split(",")
-
-
-# The `bench` options that set a grid axis, each to a comma list.
-_GRID_AXES = ("n", "k", "beta", "preset", "variant")
+# The `bench` options that set a grid axis, each to a comma list: the type
+# of its items, and what they are.
+_GRID_AXES = {"n": (int, "dimensions"), "k": (int, "ranks"),
+              "beta": (float, "oversampling parameters"), "preset": (str, "preset names"),
+              "variant": (str, "variants (recovery)")}
 
 
 def _cmd_bench(args):
@@ -236,12 +238,10 @@ def build_parser():
     rp.set_defaults(fn=_cmd_recover)
 
     bp = sub.add_parser("bench", help="run an experiment grid")
-    bp.add_argument("experiment", choices=bench.EXPERIMENTS)
-    bp.add_argument("--n", type=_int_list, help="comma list of dimensions")
-    bp.add_argument("--k", type=_int_list, help="comma list of ranks")
-    bp.add_argument("--beta", type=_float_list, help="comma list of oversampling parameters")
-    bp.add_argument("--preset", type=_str_list, help="comma list of preset names")
-    bp.add_argument("--variant", type=_str_list, help="comma list of variants (recovery)")
+    # run_experiment names the experiments in its one-line error
+    bp.add_argument("experiment", help=f"one of {', '.join(bench.GRID_EXPERIMENTS)}")
+    for axis, (kind, what) in _GRID_AXES.items():
+        bp.add_argument(f"--{axis}", type=_comma_list(kind), help=f"comma list of {what}")
     bp.add_argument("--trials", type=int)
     bp.add_argument("--seed", type=_seed, default=0)
     bp.add_argument("--out")

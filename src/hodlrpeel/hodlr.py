@@ -102,10 +102,7 @@ class HodlrMatrix:
         return [stack.factors for stack in self.stacks]
 
     def to_dense(self) -> np.ndarray:
-        if self.n > linops.DESK_SCALE_LIMIT:
-            raise StructureError(
-                f"refusing dense expansion at n={self.n} > {linops.DESK_SCALE_LIMIT}"
-            )
+        linops.refuse_dense(self.n, f"cannot expand HODLR({self.k}) to dense")
         return fold(self, self.L)[0]
 
 

@@ -27,6 +27,14 @@ class NonFiniteOutputError(ValueError):
     """An operator product contains NaN or infinity."""
 
 
+def refuse_dense(n, what=None) -> None:
+    """Raise DimensionError if an n x n dense array would be above
+    DESK_SCALE_LIMIT; ``what`` names the array, when the caller does not."""
+    if n > DESK_SCALE_LIMIT:
+        message = f"n={n} is above DESK_SCALE_LIMIT = {DESK_SCALE_LIMIT}"
+        raise DimensionError(f"{what}: {message}" if what else message)
+
+
 class QueryCounter:
     """Counts columns pushed through A (forward) and A^T (transpose)."""
 
@@ -98,10 +106,7 @@ class LinearOperator:
 
     def materialize(self) -> np.ndarray:
         """Dense expansion for oracles and debugging; does not touch the counter."""
-        if self.n > DESK_SCALE_LIMIT:
-            raise DimensionError(
-                f"refusing to materialize n={self.n} > {DESK_SCALE_LIMIT}"
-            )
+        refuse_dense(self.n, f"cannot materialize {self.name}")
         return np.asarray(self._forward(np.eye(self.n)), dtype=float)
 
 
@@ -172,8 +177,7 @@ def make_kernel_operator(points) -> LinearOperator:
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise DimensionError(f"point cloud must be (n, 3), got {pts.shape}")
     n = pts.shape[0]
-    if n > DESK_SCALE_LIMIT:
-        raise DimensionError(f"kernel operator is desk scale: n={n} > {DESK_SCALE_LIMIT}")
+    refuse_dense(n, "kernel operator")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     off = ~np.eye(n, dtype=bool)
@@ -205,10 +209,7 @@ def make_hard_block_instance(k: int, eta: float) -> LinearOperator:
     k = int(k)
     if k < 1:
         raise DimensionError(f"hard-block instance needs rank k >= 1, got {k}")
-    if 8 * k > DESK_SCALE_LIMIT:  # held densely
-        raise DimensionError(
-            f"hard-block instance: n={8 * k} is above DESK_SCALE_LIMIT = {DESK_SCALE_LIMIT}"
-        )
+    refuse_dense(8 * k, "hard-block instance")  # held densely
     if not eta > 1 or not np.isfinite(eta):
         raise DimensionError(f"eta must be a finite number above 1, got {eta}")
     X = np.zeros((2 * k, 2 * k))

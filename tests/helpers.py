@@ -1,11 +1,13 @@
 """Test-only reference code: matrix-free randomized SVD and generalized
 Nystrom on a whole operator, a sketch family's assembled sketches, the
 dense-reference checks of a finished peel, a record-by-record container
-writer, a dense CSV writer and the reader of ``bench``'s config stamps."""
+writer, a dense CSV writer, the reader of ``bench``'s config stamps and a
+``tracemalloc`` peak."""
 
 import configparser
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 
@@ -133,3 +135,14 @@ def load_config(path) -> dict:
     with open(path) as fh:
         cp.read_file(fh)
     return {sec: dict(cp[sec]) for sec in cp.sections()}
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak

@@ -144,7 +144,8 @@ def test_kernel_experiment_monotone_in_rank():
 def test_bound_checks_experiment_all_pass():
     checks = bench.bound_checks(seed=0, trials={"pointwise": 60, "expectation": 200, "moment": 4000})
     assert all(c.passed for c in checks)
-    rows = run_experiment("bound_checks", trials={"pointwise": 30, "expectation": 100, "moment": 2000}, seed=0)
+    checks = bench.bound_checks(seed=0, trials={"pointwise": 30, "expectation": 100, "moment": 2000})
+    rows = bench.bound_rows(checks, seed=0)
     assert len(rows) == 3
     assert {r.preset for r in rows} == {
         "projection_perturbation_pointwise",
@@ -156,8 +157,19 @@ def test_bound_checks_experiment_all_pass():
 
 def test_bound_checks_reject_one_trial_count_for_all():
     # each check has its own default count, so one int cannot say which
-    with pytest.raises(ValueError):
-        run_experiment("bound_checks", trials=5)
+    with pytest.raises(ValueError, match="per-check trial counts as a dict, got 5"):
+        bench.bound_checks(seed=0, trials=5)
+
+
+@pytest.mark.parametrize("trials", [1.5, {"pointwise": 5}, "3", 0])
+def test_trials_that_are_not_a_positive_integer_are_rejected(monkeypatch, trials):
+    def no_peel(*args, **kwargs):
+        raise AssertionError("a peel ran with an invalid trial count")
+
+    monkeypatch.setattr(peel, "run_peel", no_peel)
+    with pytest.raises(bench.GridError) as exc:
+        run_experiment("recovery", {"n": [128], "k": [2]}, trials=trials, seed=0)
+    assert str(exc.value) == f"--trials must be an integer of at least 1, got {trials!r}"
 
 
 def test_unknown_experiment_rejected():

@@ -89,7 +89,8 @@ def test_approx_random_hodlr_without_layout_is_a_usage_error(tmp_path):
         ("random-hodlr", "100", "4", "--operator random-hodlr: n=100"),
         ("kernel", "100", "2", "--operator kernel: n=100 is not"),
         ("poisson", "36", "8", "--operator poisson: n=36 is not"),
-        ("kernel", "8192", "8", "--operator kernel: kernel operator is desk scale"),
+        ("kernel", "8192", "8",
+         "--operator kernel: kernel operator: n=8192 is above DESK_SCALE_LIMIT = 4096"),
         ("exp-hard", "2", "1", "--operator exp-hard: exp-hard instance needs at least"),
     ]
     out = tmp_path / "x.hodlr"
@@ -240,7 +241,8 @@ def _bench_case(argv, message):
                 "kernel at n=100, k=2: n=100 is not n_base * 2^6; no valid HODLR layout"),
     _bench_case(("poisson", "--n", "36", "--k", "8"),
                 "poisson at n=36, k=8: n=36 is not n_base * 2^3; no valid HODLR layout"),
-    _bench_case(("kernel", "--n", "8192"), "kernel operator is desk scale: n=8192 > 4096"),
+    _bench_case(("kernel", "--n", "8192"),
+                "kernel operator: n=8192 is above DESK_SCALE_LIMIT = 4096"),
     _bench_case(("exp_hard", "--n", "2"), "exp-hard instance needs at least two levels, got L=1"),
     # operators above the dense limit: the errors are measured on the dense matrix
     _bench_case(("poisson", "--n", "16384", "--trials", "1"),
@@ -261,8 +263,6 @@ def _bench_case(argv, message):
                 " got 1e-300"),
     _bench_case(("poisson", "--variant", "rsvd"),
                 "--variant does not apply to poisson: its axes are n, k, beta, preset"),
-    _bench_case(("bound_checks", "--n", "64"),
-                "--n does not apply to bound_checks: it has no grid"),
 ])
 def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, argv, message):
     out = tmp_path / "x.csv"
@@ -272,15 +272,18 @@ def test_bench_n_without_its_operator_is_a_usage_error(tmp_path, argv, message):
     assert not out.exists()
 
 
-def test_bench_bound_checks_trials_is_a_usage_error(tmp_path):
-    # each check has its own trial count, so one count would go unused
+@pytest.mark.parametrize("argv", [(), ("--trials", "5"), ("--n", "64")],
+                         ids=["plain", "trials", "n"])
+def test_bench_bound_checks_is_a_usage_error(tmp_path, argv):
+    # the bound checks run through check-bounds only; bench runs grids
     out = tmp_path / "b.csv"
-    r = run_cli("bench", "bound_checks", "--trials", "5", "--out", str(out))
+    r = run_cli("bench", "bound_checks", *argv, "--out", str(out))
     assert r.returncode == 2
-    lines = r.stderr.strip().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("hodlrpeel: error: --trials")
-    assert not out.exists()
+    assert r.stderr.strip() == (
+        "hodlrpeel: error: unknown experiment 'bound_checks';"
+        " choose from poisson, kernel, hard_block, exp_hard, recovery"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -290,8 +293,27 @@ def test_bench_trials_below_one_is_a_usage_error(tmp_path, trials):
     r = run_cli("bench", "recovery", "--n", "128", "--k", "2", "--trials", trials,
                 "--out", str(out))
     assert r.returncode == 2
-    assert r.stderr.strip() == f"hodlrpeel: error: --trials must be at least 1, got {trials}"
+    assert r.stderr.strip() == (
+        f"hodlrpeel: error: --trials must be an integer of at least 1, got {trials}"
+    )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, item", [
+    ("n", "128"), ("k", "2"), ("beta", "0.5"), ("preset", "GN1"), ("variant", "rsvd"),
+])
+@pytest.mark.parametrize("shape", ["", "{0},,{0}", "{0},"], ids=["empty", "inner", "trailing"])
+def test_bench_empty_list_is_a_usage_error(tmp_path, capsys, axis, item, shape):
+    # an empty list used to run the default axis, and an empty item was dropped
+    text = shape.format(item)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "recovery", f"--{axis}", text, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"hodlrpeel bench: error: argument --{axis}: invalid comma_list value: {text!r}"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_csv_byte_identical_reruns(tmp_path):

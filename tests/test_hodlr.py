@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import math
 import struct
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,10 +27,11 @@ from hodlrpeel.hodlr import (
     random_hodlr,
     to_bytes,
 )
+from hodlrpeel.linops import DimensionError
 from hodlrpeel.lowrank import LowRankFactors
 from hodlrpeel.rng import stream
 
-from helpers import assembled, blockwise_container
+from helpers import assembled, blockwise_container, traced_peak
 
 
 def padded_stack(Qs, Xs):
@@ -671,10 +671,12 @@ def test_assemble_full_peel_roundtrip():
 
 
 def test_to_dense_guard():
-    # both are above linops.DESK_SCALE_LIMIT (4096), the one dense-size guard
+    # both are above linops.DESK_SCALE_LIMIT (4096), held by linops.refuse_dense
     for H in (HodlrMatrix(n=16384, k=2), random_hodlr(8192, 8, stream(4, 1))):
-        with pytest.raises(StructureError):
+        with pytest.raises(DimensionError) as exc:
             H.to_dense()
+        assert str(exc.value) == (f"cannot expand HODLR({H.k}) to dense:"
+                                  f" n={H.n} is above DESK_SCALE_LIMIT = 4096")
 
 
 def test_equality_is_identity_and_does_not_raise():
@@ -799,17 +801,6 @@ def lying_container(n, k, ell, lies, data=True, tail=0):
             r = lies.get(j, 0) if level == ell else 0
             parts.append(struct.pack("<II", j, r) + bytes(16 * (n >> level) * r if data else 0))
     return rechecksummed(b"".join(parts) + bytes(tail))
-
-
-def traced_peak(fn, *args):
-    """Peak bytes traced by ``tracemalloc`` while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
 
 
 @pytest.mark.parametrize("rank, size", [(4, 327_700), (1024, 17_039_380)])

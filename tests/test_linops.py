@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hodlrpeel import linops
+from hodlrpeel import hodlr, linops
 from hodlrpeel.linops import FORWARD, TRANSPOSE
 from hodlrpeel.rng import stream
 
-from helpers import save_dense_csv
+from helpers import save_dense_csv, traced_peak
 
 
 def dense_from_queries(op):
@@ -299,8 +299,10 @@ def test_exp_hard_builds_and_applies_far_above_the_dense_limit():
     lhs, rhs = op.apply(X, TRANSPOSE).T @ Y, X.T @ op.apply(Y, FORWARD)
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
     assert op.counter.snapshot() == (4, 2)
-    with pytest.raises(linops.DimensionError, match="refusing to materialize"):
+    with pytest.raises(linops.DimensionError) as exc:
         op.materialize()
+    assert str(exc.value) == ("cannot materialize exp_hard(n=65536):"
+                              " n=65536 is above DESK_SCALE_LIMIT = 4096")
 
 
 @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
@@ -321,6 +323,23 @@ def test_hard_block_above_the_dense_limit_is_refused_before_it_is_built(monkeypa
     monkeypatch.setattr(linops, "make_dense_operator", no_build)
     with pytest.raises(linops.DimensionError, match="n=8192 is above DESK_SCALE_LIMIT"):
         linops.make_hard_block_instance(1024, 1e8)
+
+
+@pytest.mark.parametrize("refused, what", [
+    (lambda: linops.make_exp_hard_instance(13, 3.0).materialize(),
+     "cannot materialize exp_hard(n=8192)"),
+    (lambda: hodlr.HodlrMatrix(n=8192, k=2).to_dense(), "cannot expand HODLR(2) to dense"),
+    (lambda: linops.make_kernel_operator(np.zeros((8192, 3))), "kernel operator"),
+    (lambda: linops.make_hard_block_instance(1024, 1e8), "hard-block instance"),
+], ids=["materialize", "to_dense", "kernel", "hard_block"])
+def test_dense_sites_refuse_above_the_limit_before_allocating(refused, what):
+    # every site asks linops.refuse_dense, before its n x n array (512 MB) exists
+    def call():
+        with pytest.raises(linops.DimensionError) as exc:
+            refused()
+        assert str(exc.value) == f"{what}: n=8192 is above DESK_SCALE_LIMIT = 4096"
+
+    assert traced_peak(call) < 1 << 20
 
 
 # CSV interchange -------------------------------------------------------------
